@@ -49,27 +49,28 @@ func hasEdge(cg *callGraph, from, to cgKey, viaGo bool) bool {
 }
 
 // TestCallGraphCrossPackage pins the resolution the locksafety and lifecycle
-// checks depend on: the pipeline's launch edge is marked viaGo, the worker's
-// helper call resolves, and the helper's pool acquisition resolves across
-// the package boundary into internal/routing.
+// checks depend on: the pipeline's launch edge is marked viaGo, the
+// producer's call into the incremental engine resolves across the package
+// boundary into internal/routing, and the engine's pool acquisition
+// resolves as a plain call.
 func TestCallGraphCrossPackage(t *testing.T) {
 	cg := buildRepoCallGraph(t)
 	newPipeline := findFn(t, cg, "internal/core", "newPipeline")
-	worker := findFn(t, cg, "internal/core", "worker")
-	helper := findFn(t, cg, "internal/core", "shortestPathPooled")
+	producer := findFn(t, cg, "internal/core", "producer")
+	step := findFn(t, cg, "internal/routing", "Step")
 	empty := findFn(t, cg, "internal/routing", "Empty")
 
-	if !hasEdge(cg, newPipeline, worker, true) {
-		t.Error("newPipeline -> worker launch edge missing or not marked viaGo")
+	if !hasEdge(cg, newPipeline, producer, true) {
+		t.Error("newPipeline -> producer launch edge missing or not marked viaGo")
 	}
-	if hasEdge(cg, newPipeline, worker, false) {
-		t.Error("worker must not appear as a plain callee of newPipeline")
+	if hasEdge(cg, newPipeline, producer, false) {
+		t.Error("producer must not appear as a plain callee of newPipeline")
 	}
-	if !hasEdge(cg, worker, helper, false) {
-		t.Error("worker -> shortestPathPooled call edge missing")
+	if !hasEdge(cg, producer, step, false) {
+		t.Error("producer -> IncrementalEngine.Step cross-package edge missing")
 	}
-	if !hasEdge(cg, helper, empty, false) {
-		t.Error("shortestPathPooled -> TablePool.Empty cross-package edge missing")
+	if !hasEdge(cg, step, empty, false) {
+		t.Error("IncrementalEngine.Step -> TablePool.Empty call edge missing")
 	}
 }
 
@@ -79,24 +80,24 @@ func TestCallGraphCrossPackage(t *testing.T) {
 func TestCallGraphReachability(t *testing.T) {
 	cg := buildRepoCallGraph(t)
 	newPipeline := findFn(t, cg, "internal/core", "newPipeline")
-	worker := findFn(t, cg, "internal/core", "worker")
-	helper := findFn(t, cg, "internal/core", "shortestPathPooled")
+	producer := findFn(t, cg, "internal/core", "producer")
+	step := findFn(t, cg, "internal/routing", "Step")
 	empty := findFn(t, cg, "internal/routing", "Empty")
 
-	goSide := cg.reach([]cgKey{worker}, true)
-	for _, want := range []*types.Func{worker, helper, empty} {
+	goSide := cg.reach([]cgKey{producer}, true)
+	for _, want := range []*types.Func{producer, step, empty} {
 		if !goSide[want] {
 			t.Errorf("goroutine side must reach %s", want.Name())
 		}
 	}
 
 	loopView := cg.reach([]cgKey{newPipeline}, false)
-	if loopView[worker] {
-		t.Error("event-loop side crossed a go edge into worker")
+	if loopView[producer] {
+		t.Error("event-loop side crossed a go edge into producer")
 	}
 	launchView := cg.reach([]cgKey{newPipeline}, true)
-	if !launchView[worker] || !launchView[empty] {
-		t.Error("go-following traversal from newPipeline must reach worker and its pool acquisition")
+	if !launchView[producer] || !launchView[empty] {
+		t.Error("go-following traversal from newPipeline must reach producer and its pool acquisition")
 	}
 }
 

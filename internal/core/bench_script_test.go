@@ -10,7 +10,7 @@ import (
 // scripts/bench.sh without running any benchmarks: --selftest feeds a
 // canned bench log through the same awk program that builds
 // BENCH_routing.json and asserts the schema — per-benchmark entries plus
-// the serial_over_incremental and serial_over_pipelined ratios — comes out
+// the serial_over_incremental and sharded_over_serial ratios — comes out
 // right. Schema regressions then fail the test suite instead of the next
 // bench run.
 func TestBenchScriptJSONSchema(t *testing.T) {

@@ -164,23 +164,6 @@ func BenchmarkForwardingStateSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardingStatePipelined runs the same 8 instants through the
-// pipelined engine with pooled arenas (default worker/lookahead config),
-// releasing each table as the run's install events would.
-func BenchmarkForwardingStatePipelined(b *testing.B) {
-	topo := benchKuiperTopo(b)
-	times := benchInstants()
-	cfg := RunConfig{}.withDefaults()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := newPipeline(topo, nil, nil, cfg.Workers, cfg.Lookahead, times, false)
-		for range times {
-			p.next().Release()
-		}
-		p.close()
-	}
-}
-
 // BenchmarkForwardingStateIncremental measures the incremental engine in
 // steady state on the same workload shape: 8 consecutive 100 ms instants
 // per op. The engine is primed once outside the timer (the first instant

@@ -39,16 +39,6 @@ type RunConfig struct {
 	// is captured at NewRun: the pipeline precomputes future instants from
 	// it, so mutating the config after construction has no effect.
 	ActiveDstGS []int
-	// Workers bounds the parallelism of forwarding-state computation;
-	// 0 uses a sensible default. Parallelism does not affect results:
-	// per-instant state is a pure function of time and per-destination
-	// trees are independent.
-	Workers int
-	// Lookahead bounds how many update instants the forwarding-state
-	// pipeline may precompute ahead of the simulation clock (each
-	// in-flight instant holds one table arena, so this caps memory);
-	// 0 uses a sensible default of 2×Workers.
-	Lookahead int
 	// Strategy optionally replaces shortest-path routing: it is called at
 	// every forwarding update with the current snapshot, the active
 	// destination set (nil = all), and the worker budget, and returns the
@@ -65,16 +55,6 @@ type RunConfig struct {
 	// forwarding-install events. Shard counts above the satellite count are
 	// clamped.
 	Shards int
-	// NoIncremental disables the incremental forwarding-state engine and
-	// recomputes every instant from scratch on the worker pool. The default
-	// (incremental) path carries per-destination settle orders across
-	// instants and re-solves each tree in that order over the delta layer's
-	// cached-visibility snapshots; its tables are
-	// bitwise identical to the from-scratch ones — proven by the oracle in
-	// hypatia_checks builds and the differential suite — so this switch
-	// exists for A/B benchmarking, not correctness. Custom strategies are
-	// always computed from scratch regardless.
-	NoIncremental bool
 }
 
 // Strategy computes a forwarding table from a topology snapshot. active
@@ -84,10 +64,11 @@ type RunConfig struct {
 // Lifetime contract: the snapshot is owned by the engine and is only valid
 // for the duration of the call — its arenas are reused for later instants.
 // A strategy must not retain s (or s.G, s.Pos) after returning; derived
-// snapshots such as s.WithoutNodes are fresh and safe to keep. A strategy
-// must be a pure function of (s, active): the pipelined engine calls it
-// concurrently for different instants, and determinism of the simulation
-// rests on its output depending only on its inputs.
+// snapshots such as s.WithoutNodes are fresh and safe to keep. The engine
+// calls a strategy from one producer goroutine, one instant at a time and
+// ahead of the simulation clock, so a strategy must be a pure function of
+// (s, active): determinism of the simulation rests on its output depending
+// only on its inputs, never on when it runs.
 //
 //hypatia:pure
 type Strategy func(s *routing.Snapshot, active []int, workers int) *routing.ForwardingTable
@@ -123,13 +104,26 @@ func (c RunConfig) withDefaults() RunConfig {
 		c.UpdateInterval = 100 * sim.Millisecond
 	}
 	c.Net = c.Net.WithDefaults()
-	if c.Workers == 0 {
-		c.Workers = 8
-	}
-	if c.Lookahead == 0 {
-		c.Lookahead = 2 * c.Workers
-	}
 	return c
+}
+
+// validate rejects configurations NewRun cannot run. It runs before any
+// work starts, so a bad value comes back as an error instead of a panic —
+// in particular not one on the forwarding-state producer goroutine, which
+// no caller could recover.
+func (c RunConfig) validate() error {
+	if c.Duration < 0 {
+		return fmt.Errorf("core: negative Duration %v", c.Duration)
+	}
+	if c.UpdateInterval < 0 {
+		return fmt.Errorf("core: negative UpdateInterval %v", c.UpdateInterval)
+	}
+	for _, gs := range c.ActiveDstGS {
+		if gs < 0 || gs >= len(c.GroundStations) {
+			return fmt.Errorf("core: ActiveDstGS entry %d out of range for %d ground stations", gs, len(c.GroundStations))
+		}
+	}
+	return nil
 }
 
 // Run is a fully wired simulation ready for transports to be attached.
@@ -152,6 +146,9 @@ type Run struct {
 // instants are computed concurrently with DES execution — and recycles the
 // table it displaces.
 func NewRun(cfg RunConfig) (*Run, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	c, err := constellation.Generate(cfg.Constellation)
 	if err != nil {
@@ -172,7 +169,7 @@ func NewRun(cfg RunConfig) (*Run, error) {
 	for at := sim.Time(0); at <= cfg.Duration; at += cfg.UpdateInterval {
 		times = append(times, at)
 	}
-	r.pipe = newPipeline(topo, cfg.Strategy, cfg.ActiveDstGS, cfg.Workers, cfg.Lookahead, times, !cfg.NoIncremental)
+	r.pipe = newPipeline(topo, cfg.Strategy, cfg.ActiveDstGS, times)
 
 	net.InstallForwarding(r.pipe.next())
 	r.updatesInstalled++

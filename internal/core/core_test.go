@@ -58,12 +58,32 @@ func TestNewRunDefaults(t *testing.T) {
 	}
 }
 
+// TestNewRunRejectsBadInputs holds NewRun to returning an error, not
+// panicking, for every configuration it cannot run. The out-of-range
+// destination used to panic on the forwarding-state producer goroutine,
+// which kills the process; the negative horizons panicked in makeslice.
 func TestNewRunRejectsBadInputs(t *testing.T) {
-	if _, err := NewRun(RunConfig{GroundStations: fourCities(t)}); err == nil {
-		t.Error("empty constellation accepted")
-	}
-	if _, err := NewRun(RunConfig{Constellation: miniConfig()}); err == nil {
-		t.Error("no ground stations accepted")
+	gs := fourCities(t)
+	for _, tc := range []struct {
+		name string
+		cfg  RunConfig
+	}{
+		{"empty constellation", RunConfig{GroundStations: gs}},
+		{"no ground stations", RunConfig{Constellation: miniConfig()}},
+		{"destination past the last station", RunConfig{Constellation: miniConfig(), GroundStations: gs, ActiveDstGS: []int{99}}},
+		{"destination equal to the station count", RunConfig{Constellation: miniConfig(), GroundStations: gs, ActiveDstGS: []int{0, len(gs)}}},
+		{"negative destination", RunConfig{Constellation: miniConfig(), GroundStations: gs, ActiveDstGS: []int{-1}}},
+		{"negative duration", RunConfig{Constellation: miniConfig(), GroundStations: gs, Duration: -sim.Second}},
+		{"negative update interval", RunConfig{Constellation: miniConfig(), GroundStations: gs, UpdateInterval: -sim.Millisecond}},
+		{"negative position quantum", RunConfig{Constellation: miniConfig(), GroundStations: gs, Net: sim.Config{PosQuantum: -sim.Millisecond}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewRun(tc.cfg)
+			if err == nil {
+				r.Close()
+				t.Fatalf("NewRun accepted %+v", tc.cfg)
+			}
+		})
 	}
 }
 

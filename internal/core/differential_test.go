@@ -48,45 +48,40 @@ func serialReference(topo *routing.Topology, at sim.Time, active []int) *routing
 }
 
 // TestDifferentialPipelineMatchesSerial is the differential harness for the
-// pipelined engine, in both its modes: over randomized update instants,
-// both GSL policies, and randomized active-destination subsets (including
-// nil = all), every table the pipeline delivers — from the from-scratch
-// worker pool and from the incremental producer alike — must be
-// byte-identical to the serial computation.
+// pipelined engine: over randomized update instants, both GSL policies, and
+// randomized active-destination subsets (including nil = all), every table
+// the incremental producer delivers must be byte-identical to the serial
+// computation.
 func TestDifferentialPipelineMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, incremental := range []bool{false, true} {
-		for _, policy := range []routing.GSLPolicy{routing.GSLFree, routing.GSLNearestOnly} {
-			topo := differentialTopo(t, policy)
-			for trial := 0; trial < 3; trial++ {
-				times := randomInstants(rng, 8)
-				// Trial 0 computes all destinations; later trials a random
-				// nonempty subset.
-				var active []int
-				if trial > 0 {
-					for gs := 0; gs < topo.NumGS(); gs++ {
-						if rng.Intn(2) == 0 {
-							active = append(active, gs)
-						}
-					}
-					if len(active) == 0 {
-						active = []int{rng.Intn(topo.NumGS())}
+	for _, policy := range []routing.GSLPolicy{routing.GSLFree, routing.GSLNearestOnly} {
+		topo := differentialTopo(t, policy)
+		for trial := 0; trial < 3; trial++ {
+			times := randomInstants(rng, 8)
+			// Trial 0 computes all destinations; later trials a random
+			// nonempty subset.
+			var active []int
+			if trial > 0 {
+				for gs := 0; gs < topo.NumGS(); gs++ {
+					if rng.Intn(2) == 0 {
+						active = append(active, gs)
 					}
 				}
-				workers := 1 + rng.Intn(4)
-				lookahead := 1 + rng.Intn(6)
-				p := newPipeline(topo, nil, active, workers, lookahead, times, incremental)
-				for i, at := range times {
-					got := p.next()
-					want := serialReference(topo, at, active)
-					if !got.Equal(want) {
-						t.Fatalf("incremental=%v policy %v trial %d instant %d (t=%v, workers=%d, lookahead=%d): pipeline table differs from serial",
-							incremental, policy, trial, i, at, workers, lookahead)
-					}
-					got.Release()
+				if len(active) == 0 {
+					active = []int{rng.Intn(topo.NumGS())}
 				}
-				p.close()
 			}
+			p := newPipeline(topo, nil, active, times)
+			for i, at := range times {
+				got := p.next()
+				want := serialReference(topo, at, active)
+				if !got.Equal(want) {
+					t.Fatalf("policy %v trial %d instant %d (t=%v): pipeline table differs from serial",
+						policy, trial, i, at)
+				}
+				got.Release()
+			}
+			p.close()
 		}
 	}
 }
@@ -101,7 +96,7 @@ func TestDifferentialPipelineCustomStrategy(t *testing.T) {
 	strategy := AvoidNodes(ShortestPath, avoid...)
 	times := randomInstants(rng, 6)
 	active := []int{0, 2}
-	p := newPipeline(topo, strategy, active, 3, 4, times, true)
+	p := newPipeline(topo, strategy, active, times)
 	for i, at := range times {
 		got := p.next()
 		want := strategy(topo.Snapshot(at.Seconds()), active, 1)
@@ -226,7 +221,7 @@ func TestDifferentialTableReuseAcrossInstants(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	topo := differentialTopo(t, routing.GSLFree)
 	times := randomInstants(rng, 10)
-	p := newPipeline(topo, nil, nil, 2, 2, times, true)
+	p := newPipeline(topo, nil, nil, times)
 	var held *routing.ForwardingTable
 	heldIdx := -1
 	for i, at := range times {
@@ -244,5 +239,20 @@ func TestDifferentialTableReuseAcrossInstants(t *testing.T) {
 		t.Fatalf("final table differs from serial reference")
 	}
 	held.Release()
+	p.close()
+}
+
+// TestPipelineCloseMidRun abandons a pipeline while its producer is blocked
+// on a full channel: close must stop the producer, wait for it, and return,
+// and a second close must be a no-op.
+func TestPipelineCloseMidRun(t *testing.T) {
+	topo := differentialTopo(t, routing.GSLFree)
+	times := make([]sim.Time, 2*pipelineDepth+2)
+	for i := range times {
+		times[i] = sim.Time(i) * 100 * sim.Millisecond
+	}
+	p := newPipeline(topo, nil, []int{0}, times)
+	p.next().Release()
+	p.close()
 	p.close()
 }

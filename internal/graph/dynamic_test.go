@@ -10,19 +10,6 @@ import (
 // edgeKey identifies an undirected edge for test bookkeeping.
 type edgeKey struct{ a, b int32 }
 
-// edgeSet extracts a graph's undirected edge set with weights.
-func edgeSet(g *Graph) map[edgeKey]float64 {
-	m := map[edgeKey]float64{}
-	for v := 0; v < g.N(); v++ {
-		for _, e := range g.Neighbors(v) {
-			if int(e.To) > v {
-				m[edgeKey{int32(v), e.To}] = e.W
-			}
-		}
-	}
-	return m
-}
-
 // fromEdgeSet builds a graph over n nodes from an edge set.
 func fromEdgeSet(n int, m map[edgeKey]float64) *Graph {
 	g := New(n)
@@ -117,61 +104,38 @@ func sameSSSP(t *testing.T, tag string, dist, wantDist []float64, prev, wantPrev
 	}
 }
 
-// TestDiffIntoReconstructs proves the changed-edge list is exactly the set
-// difference: applying it to the old edge set reproduces the new one.
-func TestDiffIntoReconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var sc DiffScratch
-	for trial := 0; trial < 50; trial++ {
-		n := 4 + rng.Intn(30)
-		oldSet := randomEdgeSet(rng, n, rng.Intn(2*n), trial%2 == 0)
-		newSet := mutateEdgeSet(rng, n, oldSet, rng.Intn(12), trial%2 == 0)
-		oldG, newG := fromEdgeSet(n, oldSet), fromEdgeSet(n, newSet)
-		changes := DiffInto(oldG, newG, nil, &sc)
-		applied := map[edgeKey]float64{}
-		for k, w := range oldSet {
-			applied[k] = w
-		}
-		for _, ch := range changes {
-			if ch.A >= ch.B {
-				t.Fatalf("change %+v not canonical (A < B)", ch)
-			}
-			key := edgeKey{ch.A, ch.B}
-			if ch.OldW >= 0 && applied[key] != ch.OldW {
-				t.Fatalf("change %+v: old weight disagrees with edge set (%v)", ch, applied[key])
-			}
-			if ch.OldW < 0 {
-				if _, ok := applied[key]; ok {
-					t.Fatalf("change %+v claims insertion but edge existed", ch)
-				}
-			}
-			if ch.NewW < 0 {
-				delete(applied, key)
-			} else {
-				applied[key] = ch.NewW
-			}
-		}
-		if len(applied) != len(newSet) {
-			t.Fatalf("trial %d: applying diff gives %d edges, want %d", trial, len(applied), len(newSet))
-		}
-		for k, w := range newSet {
-			if applied[k] != w {
-				t.Fatalf("trial %d: edge %v = %v after diff, want %v", trial, k, applied[k], w)
-			}
-		}
-		if got := DiffInto(oldG, oldG, changes, &sc); len(got) != 0 {
-			t.Fatalf("diff of identical graphs nonempty: %v", got)
-		}
-	}
+// settleOrder returns the Dijkstra settle order of a solution — the order
+// the incremental engine carries from one instant into the next repair.
+func settleOrder(dist []float64) []int32 {
+	order := identityOrder(len(dist))
+	slices.SortFunc(order, func(a, b int32) int { return orderCmp(dist, a, b) })
+	return order
 }
 
-// TestRepairSSSPMatchesDijkstra is the core property: repairing the old
-// solution over the diff is bitwise identical to running Dijkstra from
-// scratch on the new graph — distances and predecessors both — for float
-// and tie-heavy integer weights alike, on both repair paths.
+// identityOrder is the order a destination's first repair starts from.
+func identityOrder(n int) []int32 {
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	return order
+}
+
+// shuffledOrder is a deliberately stale order: a random permutation.
+func shuffledOrder(rng *rand.Rand, n int) []int32 {
+	order := identityOrder(n)
+	rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return order
+}
+
+// TestRepairSSSPMatchesDijkstra is the core property: re-solving over the
+// mutated graph is bitwise identical to running Dijkstra from scratch on
+// it — distances and predecessors both — for float and tie-heavy integer
+// weights alike, whatever the starting order: the old solution's settle
+// order, that order as maintained by a previous repair, the identity order
+// of a first repair, or a shuffled one. Order affects cost only.
 func TestRepairSSSPMatchesDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	var dsc DiffScratch
 	var rsc RepairScratch
 	for trial := 0; trial < 120; trial++ {
 		n := 4 + rng.Intn(40)
@@ -179,84 +143,65 @@ func TestRepairSSSPMatchesDijkstra(t *testing.T) {
 		oldSet := randomEdgeSet(rng, n, rng.Intn(3*n), intW)
 		newSet := mutateEdgeSet(rng, n, oldSet, 1+rng.Intn(2+n/2), intW)
 		oldG, newG := fromEdgeSet(n, oldSet), fromEdgeSet(n, newSet)
-		changes := DiffInto(oldG, newG, nil, &dsc)
 		src := rng.Intn(n)
 		wantDist, wantPrev := newG.Dijkstra(src, nil, nil)
 		baseDist, basePrev := oldG.Dijkstra(src, nil, nil)
 
-		// The public entry point (threshold-selected path).
+		order := settleOrder(baseDist)
 		dist := append([]float64(nil), baseDist...)
 		prev := append([]int32(nil), basePrev...)
-		newG.RepairSSSP(src, dist, prev, changes, &rsc)
-		sameSSSP(t, "RepairSSSP", dist, wantDist, prev, wantPrev)
+		newG.RepairSSSPDense(src, dist, prev, order, &rsc)
+		sameSSSP(t, "carriedOrder", dist, wantDist, prev, wantPrev)
+		// The maintained order must remain a usable permutation: a second
+		// repair over it on the same graph reproduces the same solution.
+		newG.RepairSSSPDense(src, dist, prev, order, &rsc)
+		sameSSSP(t, "carriedOrder/again", dist, wantDist, prev, wantPrev)
 
-		// Both internal paths must agree regardless of the threshold.
-		if len(changes) > 0 {
-			// Dense path, once seeded with the old solution's settle order
-			// and once with a deliberately stale (identity) order: order
-			// affects cost only, never the result.
-			order := make([]int32, newG.N())
-			for i := range order {
-				order[i] = int32(i)
-			}
-			slices.SortFunc(order, func(a, b int32) int { return orderCmp(baseDist, a, b) })
-			dist = append(dist[:0], baseDist...)
-			prev = append(prev[:0], basePrev...)
-			newG.RepairSSSPDense(src, dist, prev, order, &rsc)
-			sameSSSP(t, "RepairSSSPDense", dist, wantDist, prev, wantPrev)
-			// The maintained order must remain a usable permutation: a
-			// second repair over it (same graph, so changes are empty in
-			// spirit) must reproduce the same solution.
-			newG.RepairSSSPDense(src, dist, prev, order, &rsc)
-			sameSSSP(t, "RepairSSSPDense/again", dist, wantDist, prev, wantPrev)
-
-			for i := range order {
-				order[i] = int32(i)
-			}
+		for _, stale := range []struct {
+			name  string
+			order []int32
+		}{
+			{"identityOrder", identityOrder(n)},
+			{"shuffledOrder", shuffledOrder(rng, n)},
+		} {
 			for i := range dist {
-				dist[i] = -1 // dense path must not read prior dist/prev
+				dist[i] = -1 // the repair must not read prior dist/prev
 				prev[i] = -7
 			}
-			newG.RepairSSSPDense(src, dist, prev, order, &rsc)
-			sameSSSP(t, "RepairSSSPDense/staleOrder", dist, wantDist, prev, wantPrev)
-
-			dist = append(dist[:0], baseDist...)
-			prev = append(prev[:0], basePrev...)
-			newG.repairSparse(src, dist, prev, changes, &rsc)
-			sameSSSP(t, "repairSparse", dist, wantDist, prev, wantPrev)
+			newG.RepairSSSPDense(src, dist, prev, stale.order, &rsc)
+			sameSSSP(t, stale.name, dist, wantDist, prev, wantPrev)
 		}
 	}
 }
 
-// TestRepairSSSPChain carries one solution through a long mutation chain,
-// repairing in place at every step — the exact usage pattern of the
-// incremental forwarding-state engine.
+// TestRepairSSSPChain carries one solution and its settle order through a
+// long mutation chain, repairing in place at every step from the identity
+// order onward — the exact usage pattern of the incremental
+// forwarding-state engine.
 func TestRepairSSSPChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	var dsc DiffScratch
 	var rsc RepairScratch
 	n := 30
 	cur := randomEdgeSet(rng, n, 2*n, false)
-	g := fromEdgeSet(n, cur)
 	src := 7
-	dist, prev := g.Dijkstra(src, nil, nil)
+	dist, prev := make([]float64, n), make([]int32, n)
+	order := identityOrder(n)
 	for step := 0; step < 60; step++ {
 		next := mutateEdgeSet(rng, n, cur, 1+rng.Intn(6), step%4 == 0)
 		ng := fromEdgeSet(n, next)
-		changes := DiffInto(g, ng, nil, &dsc)
-		ng.RepairSSSP(src, dist, prev, changes, &rsc)
+		ng.RepairSSSPDense(src, dist, prev, order, &rsc)
 		wantDist, wantPrev := ng.Dijkstra(src, nil, nil)
 		sameSSSP(t, "chain", dist, wantDist, prev, wantPrev)
-		cur, g = next, ng
+		cur = next
 	}
 }
 
-// TestRepairSSSPBellmanFord cross-checks the repaired solution against the
-// algorithmically independent Bellman-Ford fixpoint: distances bitwise
-// equal, predecessor tree loop-free and achieving those distances.
+// TestRepairSSSPBellmanFord cross-checks the repaired solution, computed
+// from a stale (shuffled) order, against the algorithmically independent
+// Bellman-Ford fixpoint: distances bitwise equal, predecessor tree
+// loop-free and achieving those distances.
 func TestRepairSSSPBellmanFord(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	var dsc DiffScratch
 	var rsc RepairScratch
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + rng.Intn(25)
@@ -266,7 +211,7 @@ func TestRepairSSSPBellmanFord(t *testing.T) {
 		oldG, newG := fromEdgeSet(n, oldSet), fromEdgeSet(n, newSet)
 		src := rng.Intn(n)
 		dist, prev := oldG.Dijkstra(src, nil, nil)
-		newG.RepairSSSP(src, dist, prev, DiffInto(oldG, newG, nil, &dsc), &rsc)
+		newG.RepairSSSPDense(src, dist, prev, shuffledOrder(rng, n), &rsc)
 
 		bfDist, _ := newG.BellmanFord(src)
 		for v := range bfDist {
@@ -303,12 +248,12 @@ func TestRepairSSSPBellmanFord(t *testing.T) {
 	}
 }
 
-// TestRepairSSSPUntouchedRegion pins the locality contract: with changes
-// confined to one connected component, the other component's distance and
-// predecessor entries come out bitwise unchanged.
+// TestRepairSSSPUntouchedRegion pins the disconnected case: with changes
+// confined to the source's component, every node of the other component
+// comes out unreachable (dist +Inf, prev -1) at every step of a
+// carried-order chain, and the whole solution matches Dijkstra.
 func TestRepairSSSPUntouchedRegion(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	var dsc DiffScratch
 	var rsc RepairScratch
 	nA, nB := 12, 12
 	n := nA + nB
@@ -320,9 +265,9 @@ func TestRepairSSSPUntouchedRegion(t *testing.T) {
 	for v := nA + 1; v < n; v++ {
 		set[edgeKey{int32(nA + rng.Intn(v-nA)), int32(v)}] = 1 + 10*rng.Float64()
 	}
-	g := fromEdgeSet(n, set)
 	src := 0 // in component A; component B is unreachable
-	dist, prev := g.Dijkstra(src, nil, nil)
+	dist, prev := fromEdgeSet(n, set).Dijkstra(src, nil, nil)
+	order := settleOrder(dist)
 	for step := 0; step < 20; step++ {
 		next := map[edgeKey]float64{}
 		for k, w := range set {
@@ -335,36 +280,41 @@ func TestRepairSSSPUntouchedRegion(t *testing.T) {
 			}
 		}
 		ng := fromEdgeSet(n, next)
-		changes := DiffInto(g, ng, nil, &dsc)
-		before := append([]float64(nil), dist[nA:]...)
-		ng.RepairSSSP(src, dist, prev, changes, &rsc)
-		for i, want := range before {
-			if dist[nA+i] != want || prev[nA+i] != -1 {
-				t.Fatalf("step %d: untouched component entry %d changed: dist %v→%v prev %d",
-					step, nA+i, want, dist[nA+i], prev[nA+i])
+		ng.RepairSSSPDense(src, dist, prev, order, &rsc)
+		for v := nA; v < n; v++ {
+			if !math.IsInf(dist[v], 1) || prev[v] != -1 {
+				t.Fatalf("step %d: unreachable node %d came out dist %v prev %d", step, v, dist[v], prev[v])
 			}
 		}
 		wantDist, wantPrev := ng.Dijkstra(src, nil, nil)
 		sameSSSP(t, "untouched", dist, wantDist, prev, wantPrev)
-		set, g = next, ng
+		set = next
 	}
 }
 
-// TestRepairSSSPNoChanges: an empty change list must leave the arrays
-// untouched (the engine skips instants whose graphs are identical).
+// TestRepairSSSPNoChanges: re-solving on an unchanged graph from the
+// solution's own settle order reproduces the arrays bitwise and leaves the
+// order as it was (the engine re-solves every instant, changed or not).
 func TestRepairSSSPNoChanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	var rsc RepairScratch
 	g := fromEdgeSet(10, randomEdgeSet(rng, 10, 12, false))
 	dist, prev := g.Dijkstra(3, nil, nil)
+	order := settleOrder(dist)
+	wantOrder := slices.Clone(order)
 	d2 := append([]float64(nil), dist...)
 	p2 := append([]int32(nil), prev...)
-	g.RepairSSSP(3, d2, p2, nil, &rsc)
+	g.RepairSSSPDense(3, d2, p2, order, &rsc)
 	sameSSSP(t, "nochange", d2, dist, p2, prev)
+	if !slices.Equal(order, wantOrder) {
+		t.Fatalf("settle order changed on an unchanged graph: %v, want %v", order, wantOrder)
+	}
 }
 
-// FuzzRepairSSSP drives the repair with fuzzer-chosen topology mutations;
-// the oracle is always a from-scratch Dijkstra on the mutated graph.
+// FuzzRepairSSSP drives the repair with fuzzer-chosen topology mutations
+// and a seed-chosen starting order (the old solution's, identity, or
+// shuffled); the oracle is always a from-scratch Dijkstra on the mutated
+// graph.
 func FuzzRepairSSSP(f *testing.F) {
 	f.Add(int64(1), 10, 8, false)
 	f.Add(int64(2), 25, 40, true)
@@ -375,14 +325,22 @@ func FuzzRepairSSSP(f *testing.F) {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
-		var dsc DiffScratch
 		var rsc RepairScratch
 		oldSet := randomEdgeSet(rng, n, rng.Intn(3*n), intW)
 		newSet := mutateEdgeSet(rng, n, oldSet, mutations, intW)
 		oldG, newG := fromEdgeSet(n, oldSet), fromEdgeSet(n, newSet)
 		src := rng.Intn(n)
 		dist, prev := oldG.Dijkstra(src, nil, nil)
-		newG.RepairSSSP(src, dist, prev, DiffInto(oldG, newG, nil, &dsc), &rsc)
+		var order []int32
+		switch rng.Intn(3) {
+		case 0:
+			order = settleOrder(dist)
+		case 1:
+			order = identityOrder(n)
+		default:
+			order = shuffledOrder(rng, n)
+		}
+		newG.RepairSSSPDense(src, dist, prev, order, &rsc)
 		wantDist, wantPrev := newG.Dijkstra(src, nil, nil)
 		for i := range dist {
 			if dist[i] != wantDist[i] || prev[i] != wantPrev[i] {

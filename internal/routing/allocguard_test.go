@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hypatia/internal/check/checktest"
+	"hypatia/internal/graph"
 )
 
 // The AllocGuard tests are the runtime half of the //hypatia:noalloc
@@ -26,20 +27,22 @@ func TestAllocGuardSnapshotInto(t *testing.T) {
 	})
 }
 
-// TestAllocGuardPooledSweep pins the pooled forwarding-table path the
-// pipeline workers run: table buffers cycle through the pool, Dijkstra
-// scratch is caller-owned, and the release returns every arena, so the
-// steady-state sweep stays allocation-free.
+// TestAllocGuardPooledSweep pins the pooled from-scratch forwarding-table
+// path: table buffers cycle through the pool, Dijkstra scratch is
+// caller-owned, and the release returns every arena, so the steady-state
+// sweep stays allocation-free.
 func TestAllocGuardPooledSweep(t *testing.T) {
 	topo := miniTopo(t, GSLFree)
 	snap := topo.Snapshot(0)
 	var pool TablePool
-	var sc StrategyScratch
+	var dist []float64
+	var prev []int32
+	var sc graph.Scratch
 	checktest.AllocGuard(t, "TablePool sweep", 0, 1, func() {
 		ft := pool.Empty(snap.T, topo.NumNodes(), topo.NumGS())
 		for gs := 0; gs < topo.NumGS(); gs++ {
-			sc.Dist, sc.Prev = snap.FromGSScratch(gs, sc.Dist, sc.Prev, &sc.Dijkstra)
-			ft.SetDestination(gs, sc.Prev)
+			dist, prev = snap.FromGSScratch(gs, dist, prev, &sc)
+			ft.SetDestination(gs, prev)
 		}
 		ft.Release()
 	})

@@ -23,12 +23,11 @@ const maxECEFSpeed = 12e3 // m/s
 // arithmetic can never push a recheck past the true crossing time.
 const marginSafety = 0.9
 
-// DeltaState is the reusable workspace for Topology.DeltaInto: the
-// double-buffered snapshots it diffs, the changed-edge scratch, and a
-// per-pair visibility margin cache that lets consecutive instants skip the
-// full GS×satellite visibility scan. The zero value is ready for use; like
-// the other routing scratch types it must only ever be owned by one
-// goroutine at a time.
+// DeltaState is the incremental engine's snapshot workspace: one reused
+// snapshot arena and a per-pair visibility margin cache that lets
+// consecutive instants skip the full GS×satellite visibility scan. The zero
+// value is ready for use; like the other routing scratch types it must only
+// ever be owned by one goroutine at a time.
 //
 // The margin cache records, for every (ground station, satellite) pair, the
 // earliest time its visibility status could flip: both criteria VisibleFrom
@@ -42,14 +41,8 @@ const marginSafety = 0.9
 //
 //hypatia:confined
 type DeltaState struct {
-	topo   *Topology
-	snaps  [2]*Snapshot
-	cur    int  // index of the most recent snapshot in snaps
-	have   bool // at least one snapshot has been built since reset
-	prevOK bool // snaps[cur^1] is the genuine previous instant
-
-	changes []graph.EdgeChange
-	diff    graph.DiffScratch
+	topo *Topology
+	snap *Snapshot
 
 	up        []geom.Vec3 //hypatia:handle(gs)  per-GS local-up unit vector (geodetic normal)
 	visible   []bool      // [gs*S+sat] cached visibility status
@@ -74,18 +67,6 @@ type DeltaState struct {
 // pairs per instant.
 const watchHorizon = 2.0
 
-// Prev returns the snapshot preceding the one DeltaInto last returned, or
-// nil on the first instant. It stays valid until the next DeltaInto call.
-//
-//hypatia:noalloc
-//hypatia:pure
-func (d *DeltaState) Prev() *Snapshot {
-	if !d.prevOK {
-		return nil
-	}
-	return d.snaps[d.cur^1]
-}
-
 // reset rebinds the state to a topology, dropping all cached structure.
 //
 //hypatia:noalloc
@@ -94,7 +75,6 @@ func (d *DeltaState) reset(t *Topology) {
 	nSat := t.NumSats()
 	nGS := t.NumGS()
 	d.topo = t
-	d.have = false
 	d.visValid = false
 	if cap(d.up) < nGS {
 		d.up = make([]geom.Vec3, nGS)
@@ -360,11 +340,11 @@ func (d *DeltaState) snapshotFromCache(t *Topology, tsec float64, s *Snapshot) *
 	return s
 }
 
-// deltaSnapshot advances d to time tsec and returns the instant's snapshot
-// without computing the changed-edge diff. This is the incremental engine's
-// entry point: its dense repair re-solves each tree from the new graph
-// directly and never reads a change list, so the O(E) diff would be pure
-// overhead there.
+// deltaSnapshot advances d to time tsec and returns the snapshot for that
+// instant. The snapshot is bitwise identical to Topology.SnapshotInto(tsec,
+// ...) but skips the full visibility scan via the margin cache; it is owned
+// by d and rebuilt in place by the next call. Time may move in any
+// direction; backward jumps just cost one full visibility refresh.
 //
 //hypatia:noalloc
 //hypatia:pure
@@ -372,35 +352,9 @@ func (t *Topology) deltaSnapshot(tsec float64, d *DeltaState) *Snapshot {
 	if d.topo != t {
 		d.reset(t)
 	}
-	next := d.cur ^ 1
-	d.snaps[next] = d.snapshotFromCache(t, tsec, d.snaps[next])
-	d.prevOK = d.have
-	d.cur = next
-	d.have = true
+	d.snap = d.snapshotFromCache(t, tsec, d.snap)
 	d.lastT = tsec
-	return d.snaps[next]
-}
-
-// DeltaInto advances d to time tsec and returns the snapshot for that
-// instant together with the changed-edge list against the previous instant
-// (weight drifts and visibility flips; nil on the first call, when there is
-// no previous instant to diff against). The snapshot is bitwise identical
-// to Topology.SnapshotInto(tsec, ...) but skips the full visibility scan
-// via the margin cache; it remains valid until the second-next DeltaInto
-// call (snapshots are double-buffered so the previous instant stays
-// diffable). The change list is owned by d and overwritten by the next
-// call. Time may move in any direction; backward jumps just cost one full
-// visibility refresh.
-//
-//hypatia:noalloc
-func (t *Topology) DeltaInto(tsec float64, d *DeltaState) (*Snapshot, []graph.EdgeChange) {
-	snap := t.deltaSnapshot(tsec, d)
-	var changes []graph.EdgeChange
-	if d.prevOK {
-		d.changes = graph.DiffInto(d.snaps[d.cur^1].G, snap.G, d.changes[:0], &d.diff)
-		changes = d.changes
-	}
-	return snap, changes
+	return d.snap
 }
 
 // IncrementalEngine carries forwarding state across consecutive instants:

@@ -221,18 +221,6 @@ func (s *Snapshot) FromGSScratch(gs int, dist []float64, prev []int32, sc *graph
 	return s.G.DijkstraScratch(s.Topo.GSNode(gs), dist, prev, sc)
 }
 
-// StrategyScratch bundles the worker-owned scratch a routing sweep reuses
-// across update instants: the Dijkstra distance/predecessor arrays and the
-// heap workspace. The zero value is ready for use; a StrategyScratch must
-// not be shared between concurrent sweeps.
-//
-//hypatia:confined
-type StrategyScratch struct {
-	Dist     []float64 //hypatia:handle(node)
-	Prev     []int32   //hypatia:handle(node->node)
-	Dijkstra graph.Scratch
-}
-
 // Path returns a shortest path between two ground stations as a node-id
 // sequence (inclusive of both GS nodes) together with its length in meters.
 // It returns (nil, +Inf) when no path exists — e.g. when either station has

@@ -289,6 +289,9 @@ func NewNetwork(s *Simulator, topo *routing.Topology, cfg Config) (*Network, err
 	if cfg.QueuePackets < 0 {
 		return nil, fmt.Errorf("sim: negative queue capacity")
 	}
+	if cfg.PosQuantum < 0 {
+		return nil, fmt.Errorf("sim: negative position quantum %v", cfg.PosQuantum)
+	}
 	rateFor := func(node, peer int, fallback float64) float64 {
 		if cfg.RateFor != nil {
 			if r := cfg.RateFor(node, peer); r > 0 {
