@@ -10,8 +10,8 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 
 	"hypatia/internal/geom"
 	"hypatia/internal/graph"
@@ -117,19 +117,6 @@ type Config struct {
 	// Pairs restricts analysis to specific (src, dst) ground-station index
 	// pairs; nil analyzes all unordered pairs.
 	Pairs [][2]int
-	// Workers bounds parallelism (per-source Dijkstras within each step);
-	// 0 picks 8.
-	Workers int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Step == 0 {
-		c.Step = 0.1
-	}
-	if c.Workers == 0 {
-		c.Workers = 8
-	}
-	return c
 }
 
 // pairList materializes the pair set for a topology under the config.
@@ -153,29 +140,91 @@ func (c Config) pairList(topo *routing.Topology) [][2]int {
 	return out
 }
 
-// stepResult carries one source GS's Dijkstra output for one snapshot.
-type stepResult struct {
-	dist []float64
-	prev []int32
+// window is a validated stepped analysis: the pairs to follow and the
+// instants t = k·step for k in [0, steps).
+type window struct {
+	topo  *routing.Topology
+	pairs [][2]int
+	srcs  []int // distinct pair sources, ascending: the trees each step solves
+	step  float64
+	steps int
 }
 
-// AnalyzePairs steps the topology from t=0 through cfg.Duration and returns
-// aggregated statistics for every pair. A "path change" is counted when the
-// satellite sequence differs between two successive connected steps, the
-// paper's definition.
-func AnalyzePairs(topo *routing.Topology, cfg Config) ([]PairStats, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("analysis: non-positive duration")
+// newWindow validates cfg against topo. Every input a caller can reach is
+// checked here, so the step loop itself cannot fail.
+func newWindow(topo *routing.Topology, cfg Config) (*window, error) {
+	if cfg.Step == 0 {
+		cfg.Step = 0.1
+	}
+	if !(cfg.Step > 0) || math.IsInf(cfg.Step, 1) {
+		return nil, fmt.Errorf("analysis: step %v s is not positive and finite", cfg.Step)
+	}
+	if !(cfg.Duration > 0) || math.IsInf(cfg.Duration, 1) {
+		return nil, fmt.Errorf("analysis: duration %v s is not positive and finite", cfg.Duration)
+	}
+	if cfg.Duration/cfg.Step >= math.MaxInt32 {
+		return nil, fmt.Errorf("analysis: %v s at %v s steps is too many steps", cfg.Duration, cfg.Step)
 	}
 	pairs := cfg.pairList(topo)
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("analysis: no pairs to analyze")
 	}
+	var srcs []int
+	for _, p := range pairs {
+		for _, gs := range p {
+			if gs < 0 || gs >= topo.NumGS() {
+				return nil, fmt.Errorf("analysis: pair %v names ground station %d, want [0, %d)", p, gs, topo.NumGS())
+			}
+		}
+		srcs = append(srcs, p[0])
+	}
+	slices.Sort(srcs)
+	return &window{
+		topo:  topo,
+		pairs: pairs,
+		srcs:  slices.Compact(srcs),
+		step:  cfg.Step,
+		steps: int(cfg.Duration/cfg.Step) + 1,
+	}, nil
+}
 
-	stats := make([]PairStats, len(pairs))
-	lastPath := make([][]int, len(pairs)) // satellite sequence at the last connected step
-	for i, p := range pairs {
+// run steps the window on one incremental engine and calls visit for every
+// pair at every step, in pair order within a step, with the pair's one-way
+// shortest-path length in meters and its node path (inclusive of both
+// ground stations). A disconnected pair gets +Inf and a nil path.
+func (w *window) run(visit func(k, i int, dist float64, path []int)) {
+	eng := routing.NewIncrementalEngine(w.topo, nil)
+	for k := 0; k < w.steps; k++ {
+		eng.Solve(float64(k)*w.step, w.srcs)
+		for i, p := range w.pairs {
+			dist, prev := eng.Tree(p[0])
+			dst := w.topo.GSNode(p[1])
+			visit(k, i, dist[dst], graph.PathFromPrev(prev, w.topo.GSNode(p[0]), dst))
+		}
+	}
+}
+
+// rtt converts a one-way path length in meters to a round-trip time in
+// seconds, keeping +Inf for a disconnected pair.
+func rtt(dist float64) float64 {
+	if math.IsInf(dist, 1) {
+		return graph.Infinity
+	}
+	return 2 * dist / geom.SpeedOfLight
+}
+
+// AnalyzePairs steps the topology from t=0 through cfg.Duration and returns
+// aggregated statistics for every pair. A "path change" is counted when the
+// satellite sequence differs between two successive connected steps, the
+// paper's definition: a disconnection in between does not reset it.
+func AnalyzePairs(topo *routing.Topology, cfg Config) ([]PairStats, error) {
+	w, err := newWindow(topo, cfg)
+	if err != nil {
+		return nil, err
+	}
+	stats := make([]PairStats, len(w.pairs))
+	lastPath := make([][]int, len(w.pairs)) // satellite sequence at the last connected step
+	for i, p := range w.pairs {
 		stats[i] = PairStats{
 			Src: p[0], Dst: p[1],
 			GeodesicRTT: geom.GeodesicRTT(
@@ -185,94 +234,26 @@ func AnalyzePairs(topo *routing.Topology, cfg Config) ([]PairStats, error) {
 			MinHops: math.MaxInt32,
 		}
 	}
-
-	// Which sources need a Dijkstra tree per step.
-	srcSet := map[int]bool{}
-	for _, p := range pairs {
-		srcSet[p[0]] = true
-	}
-	srcs := make([]int, 0, len(srcSet))
-	for s := range srcSet {
-		srcs = append(srcs, s)
-	}
-	sort.Ints(srcs)
-
-	steps := int(cfg.Duration/cfg.Step) + 1
-	trees := make(map[int]*stepResult, len(srcs))
-	for _, s := range srcs {
-		trees[s] = &stepResult{}
-	}
-
-	for step := 0; step < steps; step++ {
-		t := float64(step) * cfg.Step
-		snap := topo.Snapshot(t)
-		runDijkstras(snap, srcs, trees, cfg.Workers)
-
-		for i, p := range pairs {
-			st := &stats[i]
-			st.Steps++
-			tree := trees[p[0]]
-			dstNode := topo.GSNode(p[1])
-			if math.IsInf(tree.dist[dstNode], 1) {
-				st.DisconnectedSteps++
-				continue
-			}
-			rtt := 2 * tree.dist[dstNode] / geom.SpeedOfLight
-			if rtt < st.MinRTT {
-				st.MinRTT = rtt
-			}
-			if rtt > st.MaxRTT {
-				st.MaxRTT = rtt
-			}
-			path := graph.PathFromPrev(tree.prev, topo.GSNode(p[0]), dstNode)
-			hops := len(path) - 1
-			if hops < st.MinHops {
-				st.MinHops = hops
-			}
-			if hops > st.MaxHops {
-				st.MaxHops = hops
-			}
-			sats := routing.SatSequence(topo, path)
-			if lastPath[i] != nil && !intSliceEqual(lastPath[i], sats) {
-				st.PathChanges++
-			}
-			lastPath[i] = sats
+	w.run(func(_, i int, dist float64, path []int) {
+		st := &stats[i]
+		st.Steps++
+		if path == nil {
+			st.DisconnectedSteps++
+			return
 		}
-	}
+		r := rtt(dist)
+		st.MinRTT = min(st.MinRTT, r)
+		st.MaxRTT = max(st.MaxRTT, r)
+		hops := len(path) - 1
+		st.MinHops = min(st.MinHops, hops)
+		st.MaxHops = max(st.MaxHops, hops)
+		sats := routing.SatSequence(topo, path)
+		if lastPath[i] != nil && !slices.Equal(lastPath[i], sats) {
+			st.PathChanges++
+		}
+		lastPath[i] = sats
+	})
 	return stats, nil
-}
-
-// runDijkstras fills trees for each source on worker goroutines.
-func runDijkstras(snap *routing.Snapshot, srcs []int, trees map[int]*stepResult, workers int) {
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range jobs {
-				tr := trees[s]
-				tr.dist, tr.prev = snap.FromGS(s, tr.dist, tr.prev)
-			}
-		}()
-	}
-	for _, s := range srcs {
-		jobs <- s
-	}
-	close(jobs)
-	wg.Wait()
-}
-
-func intSliceEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ChangeProfile is the output of PathChangeProfile: per-step and per-pair
@@ -289,58 +270,32 @@ type ChangeProfile struct {
 
 // PathChangeProfile computes path-change counts at the given granularity —
 // the raw material of Fig 9, where coarser forwarding-state updates are
-// shown to miss path changes entirely.
+// shown to miss path changes entirely. Unlike AnalyzePairs, a disconnected
+// step resets the pair: the first path after it is not a change.
 func PathChangeProfile(topo *routing.Topology, cfg Config) (*ChangeProfile, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("analysis: non-positive duration")
+	w, err := newWindow(topo, cfg)
+	if err != nil {
+		return nil, err
 	}
-	pairs := cfg.pairList(topo)
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("analysis: no pairs to analyze")
-	}
-	srcSet := map[int]bool{}
-	for _, p := range pairs {
-		srcSet[p[0]] = true
-	}
-	srcs := make([]int, 0, len(srcSet))
-	for s := range srcSet {
-		srcs = append(srcs, s)
-	}
-	sort.Ints(srcs)
-
-	steps := int(cfg.Duration/cfg.Step) + 1
 	prof := &ChangeProfile{
-		Step:    cfg.Step,
-		PerStep: make([]int, steps),
-		PerPair: make([]int, len(pairs)),
-		Pairs:   pairs,
+		Step:    w.step,
+		PerStep: make([]int, w.steps),
+		PerPair: make([]int, len(w.pairs)),
+		Pairs:   w.pairs,
 	}
-	lastPath := make([][]int, len(pairs))
-	trees := make(map[int]*stepResult, len(srcs))
-	for _, s := range srcs {
-		trees[s] = &stepResult{}
-	}
-	for step := 0; step < steps; step++ {
-		t := float64(step) * cfg.Step
-		snap := topo.Snapshot(t)
-		runDijkstras(snap, srcs, trees, cfg.Workers)
-		for i, p := range pairs {
-			tree := trees[p[0]]
-			dstNode := topo.GSNode(p[1])
-			if math.IsInf(tree.dist[dstNode], 1) {
-				lastPath[i] = nil
-				continue
-			}
-			path := graph.PathFromPrev(tree.prev, topo.GSNode(p[0]), dstNode)
-			sats := routing.SatSequence(topo, path)
-			if lastPath[i] != nil && !intSliceEqual(lastPath[i], sats) {
-				prof.PerStep[step]++
-				prof.PerPair[i]++
-			}
-			lastPath[i] = sats
+	lastPath := make([][]int, len(w.pairs))
+	w.run(func(k, i int, _ float64, path []int) {
+		if path == nil {
+			lastPath[i] = nil
+			return
 		}
-	}
+		sats := routing.SatSequence(topo, path)
+		if lastPath[i] != nil && !slices.Equal(lastPath[i], sats) {
+			prof.PerStep[k]++
+			prof.PerPair[i]++
+		}
+		lastPath[i] = sats
+	})
 	return prof, nil
 }
 
@@ -363,12 +318,14 @@ func MissedChanges(baseline, coarse *ChangeProfile) ([]int, error) {
 }
 
 // RTTSeries returns the computed RTT (seconds; +Inf when disconnected) of
-// one pair at every step — the "Computed" curve of Fig 3.
-func RTTSeries(topo *routing.Topology, src, dst int, duration, step float64) []float64 {
-	n := int(duration/step) + 1
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = topo.Snapshot(float64(i)*step).RTT(src, dst)
+// one pair at every step — the "Computed" curve of Fig 3. duration and step
+// are validated as Config's Duration and Step (step 0 picks 100 ms).
+func RTTSeries(topo *routing.Topology, src, dst int, duration, step float64) ([]float64, error) {
+	w, err := newWindow(topo, Config{Duration: duration, Step: step, Pairs: [][2]int{{src, dst}}})
+	if err != nil {
+		return nil, err
 	}
-	return out
+	out := make([]float64, w.steps)
+	w.run(func(k, _ int, dist float64, _ []int) { out[k] = rtt(dist) })
+	return out, nil
 }

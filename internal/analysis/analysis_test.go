@@ -175,27 +175,40 @@ func TestAnalyzePairsExplicitPairsAndExclusion(t *testing.T) {
 	}
 }
 
-func TestAnalyzePairsRejectsBadDuration(t *testing.T) {
-	topo := miniTopo(t)
-	if _, err := AnalyzePairs(topo, Config{Duration: 0}); err == nil {
-		t.Error("zero duration accepted")
-	}
-}
-
-func TestAnalyzeDeterministicAcrossWorkerCounts(t *testing.T) {
-	topo := miniTopo(t)
-	a, err := AnalyzePairs(topo, Config{Duration: 20, Step: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := AnalyzePairs(topo, Config{Duration: 20, Step: 1, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("worker counts disagree at pair %d: %+v vs %+v", i, a[i], b[i])
-		}
+// TestAnalysisRejectsBadInputs: every malformed window or pair comes back
+// as an error from all three entry points; none panics.
+func TestAnalysisRejectsBadInputs(t *testing.T) {
+	topo := miniTopo(t) // 5 stations
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero duration", Config{Duration: 0}},
+		{"negative duration", Config{Duration: -1}},
+		{"NaN duration", Config{Duration: math.NaN()}},
+		{"infinite duration", Config{Duration: math.Inf(1)}},
+		{"negative step", Config{Duration: 1, Step: -0.1}},
+		{"NaN step", Config{Duration: 1, Step: math.NaN()}},
+		{"infinite step", Config{Duration: 1, Step: math.Inf(1)}},
+		{"too many steps", Config{Duration: 1e300, Step: 1e-300}},
+		{"destination out of range", Config{Duration: 1, Pairs: [][2]int{{0, 99}}}},
+		{"negative source", Config{Duration: 1, Pairs: [][2]int{{-1, 2}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := AnalyzePairs(topo, tc.cfg); err == nil {
+				t.Error("AnalyzePairs accepted it")
+			}
+			if _, err := PathChangeProfile(topo, tc.cfg); err == nil {
+				t.Error("PathChangeProfile accepted it")
+			}
+			src, dst := 0, 1
+			if tc.cfg.Pairs != nil {
+				src, dst = tc.cfg.Pairs[0][0], tc.cfg.Pairs[0][1]
+			}
+			if _, err := RTTSeries(topo, src, dst, tc.cfg.Duration, tc.cfg.Step); err == nil {
+				t.Error("RTTSeries accepted it")
+			}
+		})
 	}
 }
 
@@ -252,7 +265,10 @@ func TestMissedChangesMismatchedProfiles(t *testing.T) {
 
 func TestRTTSeries(t *testing.T) {
 	topo := miniTopo(t)
-	series := RTTSeries(topo, 0, 1, 10, 1)
+	series, err := RTTSeries(topo, 0, 1, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(series) != 11 {
 		t.Fatalf("len = %d", len(series))
 	}

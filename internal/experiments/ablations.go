@@ -6,6 +6,7 @@ import (
 
 	"hypatia/internal/analysis"
 	"hypatia/internal/constellation"
+	"hypatia/internal/geom"
 	"hypatia/internal/routing"
 )
 
@@ -133,18 +134,24 @@ func AblationGSLPolicy(samplePairs int, duration, step float64) ([]GSLPolicyStat
 		if err != nil {
 			return nil, nil, err
 		}
+		eng := routing.NewIncrementalEngine(topo, nil)
+		var srcs []int
+		for _, p := range pairs {
+			srcs = append(srcs, p[0])
+		}
 		var rtts []float64
 		disconnected, samples := 0, 0
 		for ts := 0.0; ts <= duration; ts += step {
-			snap := topo.Snapshot(ts)
+			eng.Solve(ts, srcs)
 			for _, p := range pairs {
 				samples++
-				rtt := snap.RTT(p[0], p[1])
-				if math.IsInf(rtt, 1) {
+				dist, _ := eng.Tree(p[0])
+				d := dist[topo.GSNode(p[1])]
+				if math.IsInf(d, 1) {
 					disconnected++
 					continue
 				}
-				rtts = append(rtts, rtt)
+				rtts = append(rtts, 2*d/geom.SpeedOfLight)
 			}
 		}
 		st := GSLPolicyStats{Policy: mode.name, Disconnected: disconnected, Samples: samples}

@@ -1,8 +1,14 @@
 package experiments
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"hypatia/internal/analysis"
+	"hypatia/internal/constellation"
+	"hypatia/internal/routing"
 )
 
 func TestAblationMultipath(t *testing.T) {
@@ -57,6 +63,53 @@ func TestAblationGSLPolicy(t *testing.T) {
 	if !strings.Contains(rep.String(), "nearest-only") {
 		t.Error("report missing policy rows")
 	}
+	if want := scratchGSLPolicy(t, 6, 10, 5); !reflect.DeepEqual(stats, want) {
+		t.Errorf("stats differ from the from-scratch snapshot loop:\n got %+v\nwant %+v", stats, want)
+	}
+}
+
+// scratchGSLPolicy is AblationGSLPolicy's measurement on a fresh
+// Topology.Snapshot per step, the from-scratch reference its engine-backed
+// loop must reproduce bitwise.
+func scratchGSLPolicy(t *testing.T, samplePairs int, duration, step float64) []GSLPolicyStats {
+	t.Helper()
+	gss := PaperCities()
+	pairs := RandomPermutationPairs(len(gss), Seed)[:samplePairs]
+	c, err := constellation.Generate(constellation.Kuiper())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []GSLPolicyStats
+	for _, mode := range []struct {
+		name   string
+		policy routing.GSLPolicy
+	}{
+		{"free", routing.GSLFree},
+		{"nearest-only", routing.GSLNearestOnly},
+	} {
+		topo, err := routing.NewTopology(c, gss, mode.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := GSLPolicyStats{Policy: mode.name}
+		var rtts []float64
+		for ts := 0.0; ts <= duration; ts += step {
+			snap := topo.Snapshot(ts)
+			for _, p := range pairs {
+				st.Samples++
+				if rtt := snap.RTT(p[0], p[1]); math.IsInf(rtt, 1) {
+					st.Disconnected++
+				} else {
+					rtts = append(rtts, rtt)
+				}
+			}
+		}
+		if len(rtts) > 0 {
+			st.MedianRTT = analysis.NewECDF(rtts).Median()
+		}
+		out = append(out, st)
+	}
+	return out
 }
 
 func TestCoverageReport(t *testing.T) {

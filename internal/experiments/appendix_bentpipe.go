@@ -92,7 +92,11 @@ func AppendixBentPipe(cfg BentPipeConfig) (*BentPipeResult, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res.ISLComputedRTT = analysis.RTTSeries(islRun.Topo, 0, 1, cfg.Scale.Duration, 1)
+	res.ISLComputedRTT, err = analysis.RTTSeries(islRun.Topo, 0, 1, cfg.Scale.Duration, 1)
+	if err != nil {
+		islRun.Close()
+		return nil, nil, err
+	}
 	if p, _ := islRun.Topo.Snapshot(0).Path(0, 1); p != nil {
 		res.ISLPathSVG = viz.PathMapSVG(islRun.Topo, p, 0, 0, 0)
 	}
@@ -113,7 +117,11 @@ func AppendixBentPipe(cfg BentPipeConfig) (*BentPipeResult, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res.BentComputedRTT = analysis.RTTSeries(bentRun.Topo, 0, 1, cfg.Scale.Duration, 1)
+	res.BentComputedRTT, err = analysis.RTTSeries(bentRun.Topo, 0, 1, cfg.Scale.Duration, 1)
+	if err != nil {
+		bentRun.Close()
+		return nil, nil, err
+	}
 	if p, _ := bentRun.Topo.Snapshot(0).Path(0, 1); p != nil {
 		res.BentPathSVG = viz.PathMapSVG(bentRun.Topo, p, 0, 0, 0)
 	}

@@ -84,6 +84,47 @@ func TestFig10to15CrossTrafficSmall(t *testing.T) {
 	if !strings.Contains(rep.String(), "unused") {
 		t.Error("report missing unused-bandwidth rows")
 	}
+
+	// Both Fig 10 series must equal the from-scratch computation: a fresh
+	// Topology.Snapshot path at every window (at t=0 for the frozen run).
+	cfg := CrossTrafficConfig{Scale: Scale{Duration: 6, Pairs: 8}}.withDefaults()
+	src, dst := PairByNames(PaperCities(), cfg.ObservedSrc, cfg.ObservedDst)
+	pairs := crossTrafficPairs(cfg, src, dst)
+	for _, frozen := range []bool{false, true} {
+		run, mon, err := runCrossTraffic(cfg, pairs, frozen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.UnusedBandwidth
+		if frozen {
+			got = res.StaticUnused
+		}
+		want := make([]float64, mon.Windows())
+		for w := range want {
+			ts := float64(w)
+			if frozen {
+				ts = 0
+			}
+			path, _ := run.Topo.Snapshot(ts).Path(src, dst)
+			if path == nil {
+				want[w] = math.NaN()
+				continue
+			}
+			rate := run.Cfg.Net.GSLRateBps
+			want[w] = (1 - mon.MaxOnPathUtilization(path, w, rate)) * rate
+			if want[w] < 0 {
+				want[w] = 0
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("frozen=%v: %d windows, from scratch %d", frozen, len(got), len(want))
+		}
+		for w := range want {
+			if math.Float64bits(got[w]) != math.Float64bits(want[w]) {
+				t.Errorf("frozen=%v window %d: unused %v, from scratch %v", frozen, w, got[w], want[w])
+			}
+		}
+	}
 }
 
 func TestAppendixBentPipeSmall(t *testing.T) {

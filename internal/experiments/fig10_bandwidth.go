@@ -6,6 +6,7 @@ import (
 	"hypatia/internal/analysis"
 	"hypatia/internal/constellation"
 	"hypatia/internal/core"
+	"hypatia/internal/graph"
 	"hypatia/internal/routing"
 	"hypatia/internal/sim"
 	"hypatia/internal/transport"
@@ -184,18 +185,17 @@ func activeDsts(pairs [][2]int) []int {
 
 // unusedSeries computes the Fig 10 series: per 1-second window, the path
 // capacity minus the utilization of the most congested on-path link of the
-// observed pair's shortest path at that time.
+// observed pair's shortest path at that time (at t=0 throughout if frozen).
 func unusedSeries(run *core.Run, mon *LinkMonitor, src, dst int, frozen bool) []float64 {
 	rate := run.Cfg.Net.GSLRateBps
 	out := make([]float64, mon.Windows())
-	var frozenPath []int
-	if frozen {
-		frozenPath, _ = run.Topo.Snapshot(0).Path(src, dst)
-	}
+	eng := routing.NewIncrementalEngine(run.Topo, nil)
+	var path []int
 	for w := range out {
-		path := frozenPath
-		if !frozen {
-			path, _ = run.Topo.Snapshot(float64(w)).Path(src, dst)
+		if w == 0 || !frozen {
+			eng.Solve(float64(w), []int{src})
+			_, prev := eng.Tree(src)
+			path = graph.PathFromPrev(prev, run.Topo.GSNode(src), run.Topo.GSNode(dst))
 		}
 		if path == nil {
 			out[w] = math.NaN()

@@ -112,7 +112,10 @@ func Fig13PathEvolution(scale Scale, step float64) (*Fig13Result, *Report, error
 		return nil, nil, err
 	}
 	src, dst := PairByNames(topo.GroundStations, "Paris", "Luanda")
-	series := analysis.RTTSeries(topo, src, dst, scale.Duration, step)
+	series, err := analysis.RTTSeries(topo, src, dst, scale.Duration, step)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	res := &Fig13Result{MinRTT: math.Inf(1), MaxRTT: -1}
 	for i, r := range series {

@@ -65,7 +65,11 @@ func Fig3and4PathStudies(scale Scale, pingInterval sim.Time) ([]*PathStudy, *Rep
 		if err != nil {
 			return nil, nil, err
 		}
-		study.ComputedRTT = analysis.RTTSeries(pingRun.Topo, src, dst, scale.Duration, study.Step)
+		study.ComputedRTT, err = analysis.RTTSeries(pingRun.Topo, src, dst, scale.Duration, study.Step)
+		if err != nil {
+			pingRun.Close()
+			return nil, nil, err
+		}
 		for _, r := range study.ComputedRTT {
 			if math.IsInf(r, 1) {
 				study.DisconnectedSteps++

@@ -357,12 +357,12 @@ func (t *Topology) deltaSnapshot(tsec float64, d *DeltaState) *Snapshot {
 	return d.snap
 }
 
-// IncrementalEngine carries forwarding state across consecutive instants:
-// instead of a fresh snapshot plus one full heap-driven Dijkstra per
-// destination, each Step builds the snapshot through the delta layer's
-// visibility margin cache and re-solves the per-destination trees with
+// IncrementalEngine carries shortest-path state across consecutive
+// instants: instead of a fresh snapshot plus one full heap-driven Dijkstra
+// per ground station, each Solve builds the snapshot through the delta
+// layer's visibility margin cache and re-solves the per-station trees with
 // graph.RepairSSSPDense, which replaces the priority queue with the
-// destination's settle order from the previous instant. Between 100 ms
+// station's settle order from the previous instant. Between 100 ms
 // instants every link weight drifts (so there is nothing to diff around)
 // but the settle order barely moves, which makes the re-solve a single
 // near-branchless sweep over the adjacency.
@@ -371,13 +371,16 @@ func (t *Topology) deltaSnapshot(tsec float64, d *DeltaState) *Snapshot {
 // quality affects cost, never the bitwise result — the engine needs no
 // freshness bookkeeping at all: active sets may grow, shrink, or reorder
 // between steps, time may jump either direction, and the avoid set may
-// change mid-sequence, all without reseeding. Tables it returns are bitwise
-// identical to the from-scratch computation (Snapshot.ForwardingTable and
-// friends) — the hypatia_checks build re-derives every requested column
-// from scratch and fails on any mismatch, and the differential suites in
-// internal/core prove the same over randomized instant sequences.
+// change mid-sequence, all without reseeding. Trees and tables it returns
+// are bitwise identical to the from-scratch computation (Snapshot.FromGS,
+// Snapshot.ForwardingTable) — the hypatia_checks build re-derives every
+// solved tree from scratch and fails on any mismatch, and the differential
+// suites in internal/core and internal/analysis prove the same over
+// randomized instant sequences and stepped analysis windows.
 //
-// An engine is single-owner state (one goroutine at a time); tables it
+// Step serves the packet simulator's forwarding tables; Solve and Tree
+// serve the stepped analysis loops, which read distances and paths. An
+// engine is single-owner state (one goroutine at a time); tables Step
 // returns are the caller's to Release.
 //
 //hypatia:confined
@@ -395,6 +398,8 @@ type IncrementalEngine struct {
 	pruned   *graph.Graph
 
 	repair graph.RepairScratch
+
+	all []int //hypatia:handle(->gs)  every ground station: what a nil station set means
 
 	// Per-destination shortest-path state: the dist/prev solution arrays and
 	// the settle order carried into the next repair. A nil order marks a
@@ -415,9 +420,14 @@ func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 		pool = &TablePool{}
 	}
 	ng := topo.NumGS()
+	all := make([]int, ng)
+	for gs := range all {
+		all[gs] = gs
+	}
 	return &IncrementalEngine{
 		topo:  topo,
 		pool:  pool,
+		all:   all,
 		dist:  make([][]float64, ng),
 		prev:  make([][]int32, ng),
 		order: make([][]int32, ng),
@@ -472,15 +482,14 @@ func pruneInto(src *graph.Graph, avoid []bool, dst *graph.Graph) *graph.Graph {
 	return dst
 }
 
-// Step computes the forwarding table for time tsec toward the given
-// destination ground stations (nil = all), re-solving each tree over its
-// carried settle order. The table comes from the engine's pool; the caller
-// owns it and must Release it.
+// Solve re-solves the shortest-path trees rooted at the given ground
+// stations (nil = all) for time tsec, each over its carried settle order.
+// The solutions stay engine-owned; Tree reads them.
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(active: ->gs)
-func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
+//hypatia:handle(srcs: ->gs)
+func (e *IncrementalEngine) Solve(tsec float64, srcs []int) {
 	t := e.topo
 	n := t.NumNodes()
 	snap := t.deltaSnapshot(tsec, &e.delta)
@@ -490,8 +499,10 @@ func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
 		g = e.pruned
 	}
 
-	ft := e.pool.Empty(tsec, n, t.NumGS())
-	apply := func(gs int) {
+	if srcs == nil {
+		srcs = e.all
+	}
+	for _, gs := range srcs {
 		if e.order[gs] == nil {
 			ord := make([]int32, n)
 			for i := range ord {
@@ -502,23 +513,43 @@ func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
 			e.prev[gs] = make([]int32, n)
 		}
 		g.RepairSSSPDense(t.GSNode(gs), e.dist[gs], e.prev[gs], e.order[gs], &e.repair)
-		ft.SetDestination(gs, e.prev[gs])
-	}
-	if active == nil {
-		for gs := 0; gs < t.NumGS(); gs++ { //hypatia:handle(gs) full sweep walks destinations in index order
-			apply(gs)
-		}
-	} else {
-		for _, gs := range active {
-			apply(gs)
-		}
 	}
 	if check.Enabled {
 		// The checked-build oracle is deliberately impure: it bumps a
 		// process-global comparison counter so check.sh can assert the
 		// differential layer actually ran.
 		//lint:ignore purity hypatia_checks oracle counts comparisons globally
-		e.oracleCheck(tsec, active, ft)
+		e.oracleCheck(tsec, srcs)
+	}
+}
+
+// Tree returns the distance (meters) and predecessor arrays, over all
+// nodes, of the tree rooted at ground station gs as of the last Solve that
+// included gs (nil before the first). The arrays are engine-owned and stay
+// valid until the next Solve or Step; predecessors point toward gs, so on
+// the undirected snapshot graph they double as next hops toward gs.
+//
+//hypatia:handle(gs: gs, return: node, node->node)
+func (e *IncrementalEngine) Tree(gs int) (dist []float64, prev []int32) {
+	return e.dist[gs], e.prev[gs]
+}
+
+// Step computes the forwarding table for time tsec toward the given
+// destination ground stations (nil = all): Solve, then one table column per
+// destination. The table comes from the engine's pool; the caller owns it
+// and must Release it.
+//
+//hypatia:noalloc
+//hypatia:pure
+//hypatia:handle(active: ->gs)
+func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
+	if active == nil {
+		active = e.all
+	}
+	e.Solve(tsec, active)
+	ft := e.pool.Empty(tsec, e.topo.NumNodes(), e.topo.NumGS())
+	for _, gs := range active {
+		ft.SetDestination(gs, e.prev[gs])
 	}
 	return ft
 }

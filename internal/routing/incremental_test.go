@@ -139,7 +139,7 @@ func TestIncrementalEngineBackwardTime(t *testing.T) {
 }
 
 // TestIncrementalOracleExercised is the check.sh self-check hook: under
-// -tags hypatia_checks every Step oracle-verifies its columns, and this
+// -tags hypatia_checks every Solve oracle-verifies its trees, and this
 // test fails if that instrumentation has gone dead (comparison count zero).
 func TestIncrementalOracleExercised(t *testing.T) {
 	if !check.Enabled {

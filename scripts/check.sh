@@ -99,10 +99,11 @@ GOMAXPROCS=1 go test -count=1 -run 'TestAllocGuard' \
 echo "== incremental oracle exercised (comparison count must be nonzero) =="
 # The differential layer is only as good as the oracle actually running:
 # these tests fail unless the hypatia_checks oracle re-derived and compared
-# a nonzero number of forwarding columns against the incremental engine.
+# a nonzero number of shortest-path trees against the incremental engine,
+# for the packet pipeline's tables and the stepped analysis alike.
 go test -tags hypatia_checks -count=1 \
-    -run 'TestIncrementalOracleExercised|TestDifferentialIncrementalSequences' \
-    ./internal/routing/ ./internal/core/
+    -run 'TestIncrementalOracleExercised|TestDifferentialIncrementalSequences|TestAnalysisOracleExercised' \
+    ./internal/routing/ ./internal/core/ ./internal/analysis/
 
 echo "== go test -race -tags hypatia_checks (shuffled) =="
 go test -race -tags hypatia_checks -shuffle=on ./...
