@@ -44,9 +44,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		rtts, err := hypatia.RTTSeries(topo, 0, 1, 60, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
 		min, max, sum, n := math.Inf(1), 0.0, 0.0, 0
-		for t := 0.0; t <= 60; t++ {
-			rtt := topo.Snapshot(t).RTT(0, 1)
+		for _, rtt := range rtts {
 			if math.IsInf(rtt, 1) {
 				continue
 			}

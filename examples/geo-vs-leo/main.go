@@ -75,9 +75,12 @@ func indexOf(gss []hypatia.GS, name string) int {
 }
 
 func meanRTT(topo *hypatia.Topology, src, dst int) float64 {
+	rtts, err := hypatia.RTTSeries(topo, src, dst, 60, 10)
+	if err != nil {
+		log.Fatal(err)
+	}
 	sum, n := 0.0, 0
-	for t := 0.0; t <= 60; t += 10 {
-		rtt := topo.Snapshot(t).RTT(src, dst)
+	for _, rtt := range rtts {
 		if !math.IsInf(rtt, 1) {
 			sum += rtt
 			n++

@@ -275,6 +275,14 @@ func AnalyzePairs(topo *Topology, cfg AnalysisConfig) ([]PairStats, error) {
 	return analysis.AnalyzePairs(topo, cfg)
 }
 
+// RTTSeries returns the computed RTT in seconds (+Inf when disconnected) of
+// one ground-station pair at every instant t = k·step from 0 through
+// duration, stepped on the incremental shortest-path engine (the paper's
+// Fig 3 "Computed" curve). step 0 picks 100 ms.
+func RTTSeries(topo *Topology, src, dst int, duration, step float64) ([]float64, error) {
+	return analysis.RTTSeries(topo, src, dst, duration, step)
+}
+
 // CoverageStats summarizes a location's connectivity over a scan window.
 type CoverageStats = analysis.CoverageStats
 

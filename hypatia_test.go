@@ -1,6 +1,7 @@
 package hypatia
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -91,6 +92,19 @@ func TestFacadeAnalysis(t *testing.T) {
 	}
 	if e := NewECDF(ratios); e.N() == 0 || e.Median() < 1 {
 		t.Errorf("ECDF median = %v over %d pairs", e.Median(), e.N())
+	}
+	// The stepped series is bitwise the per-instant snapshot computation.
+	rtts, err := RTTSeries(topo, 0, 1, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, got := range rtts {
+		if want := topo.Snapshot(float64(k)*2).RTT(0, 1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("RTTSeries[%d] = %v, snapshot says %v", k, got, want)
+		}
+	}
+	if len(rtts) != 3 {
+		t.Errorf("RTTSeries gave %d instants over 0..4 s at 2 s steps, want 3", len(rtts))
 	}
 }
 

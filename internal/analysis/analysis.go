@@ -191,17 +191,37 @@ func newWindow(topo *routing.Topology, cfg Config) (*window, error) {
 // run steps the window on one incremental engine and calls visit for every
 // pair at every step, in pair order within a step, with the pair's one-way
 // shortest-path length in meters and its node path (inclusive of both
-// ground stations). A disconnected pair gets +Inf and a nil path.
+// ground stations). A disconnected pair gets +Inf and a nil path. Every
+// path is extracted into one reused buffer, so it is valid only during the
+// visit call.
 func (w *window) run(visit func(k, i int, dist float64, path []int)) {
 	eng := routing.NewIncrementalEngine(w.topo, nil)
+	var buf []int
 	for k := 0; k < w.steps; k++ {
 		eng.Solve(float64(k)*w.step, w.srcs)
 		for i, p := range w.pairs {
 			dist, prev := eng.Tree(p[0])
 			dst := w.topo.GSNode(p[1])
-			visit(k, i, dist[dst], graph.PathFromPrev(prev, w.topo.GSNode(p[0]), dst))
+			path := graph.PathFromPrev(prev, w.topo.GSNode(p[0]), dst, buf)
+			if path != nil {
+				buf = path
+			}
+			visit(k, i, dist[dst], path)
 		}
 	}
+}
+
+// trackPath compares path's satellite sequence against *last, the sequence
+// of the pair's previous connected step (empty if there is none), and
+// reports a change. Only a changed sequence is copied, into *last's own
+// storage, so a steady path costs no allocation.
+func trackPath(topo *routing.Topology, last *[]int, path []int) bool {
+	if len(*last) > 0 && routing.SameSatPath(topo, *last, path) {
+		return false
+	}
+	changed := len(*last) > 0
+	*last = routing.SatSequence(topo, path, *last)
+	return changed
 }
 
 // rtt converts a one-way path length in meters to a round-trip time in
@@ -247,11 +267,9 @@ func AnalyzePairs(topo *routing.Topology, cfg Config) ([]PairStats, error) {
 		hops := len(path) - 1
 		st.MinHops = min(st.MinHops, hops)
 		st.MaxHops = max(st.MaxHops, hops)
-		sats := routing.SatSequence(topo, path)
-		if lastPath[i] != nil && !slices.Equal(lastPath[i], sats) {
+		if trackPath(topo, &lastPath[i], path) {
 			st.PathChanges++
 		}
-		lastPath[i] = sats
 	})
 	return stats, nil
 }
@@ -286,15 +304,13 @@ func PathChangeProfile(topo *routing.Topology, cfg Config) (*ChangeProfile, erro
 	lastPath := make([][]int, len(w.pairs))
 	w.run(func(k, i int, _ float64, path []int) {
 		if path == nil {
-			lastPath[i] = nil
+			lastPath[i] = lastPath[i][:0]
 			return
 		}
-		sats := routing.SatSequence(topo, path)
-		if lastPath[i] != nil && !slices.Equal(lastPath[i], sats) {
+		if trackPath(topo, &lastPath[i], path) {
 			prof.PerStep[k]++
 			prof.PerPair[i]++
 		}
-		lastPath[i] = sats
 	})
 	return prof, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"hypatia/internal/check"
 	"hypatia/internal/constellation"
 	"hypatia/internal/groundstation"
 	"hypatia/internal/routing"
@@ -283,5 +284,40 @@ func TestRTTSeries(t *testing.T) {
 	}
 	if connected == 0 {
 		t.Skip("pair disconnected throughout in mini constellation")
+	}
+}
+
+// TestAnalyzePairsAllocsFlatInSteps holds the stepped loop to allocating
+// nothing per step: paths are extracted into one reused buffer and compared
+// in place, and a pair's satellite sequence is copied only when it changed.
+// A window ten times longer may therefore cost only its path-change copies
+// plus the occasional growth of an engine arena, never garbage per pair per
+// step (which used to be two slices each). testing.AllocsPerRun pins
+// GOMAXPROCS to 1, so this measures the one-worker engine; the fan-out's
+// launches are held to zero by routing's TestAllocGuardIncrementalStep.
+func TestAnalyzePairsAllocsFlatInSteps(t *testing.T) {
+	if check.Enabled {
+		t.Skip("allocation budgets are a production-build contract; the hypatia_checks build runs from-scratch oracles")
+	}
+	topo := miniTopo(t)
+	measure := func(steps int) (allocs float64, changes int) {
+		cfg := Config{Duration: float64(steps-1) * 0.1}
+		allocs = testing.AllocsPerRun(3, func() {
+			stats, err := AnalyzePairs(topo, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			changes = 0
+			for _, st := range stats {
+				changes += st.PathChanges
+			}
+		})
+		return allocs, changes
+	}
+	short, _ := measure(10)
+	long, changes := measure(100)
+	if extra, budget := long-short, float64(changes+(100-10)/4); extra > budget {
+		t.Errorf("100 steps allocate %.0f more times than 10 steps; budget %.0f (%d path changes plus a quarter per extra step for arena growth)",
+			extra, budget, changes)
 	}
 }

@@ -44,7 +44,7 @@ func scratchSteps(topo *routing.Topology, cfg Config, visit func(k, i int, dist 
 				visit(k, i, dist[dstNode], nil)
 				continue
 			}
-			visit(k, i, dist[dstNode], graph.PathFromPrev(prev, topo.GSNode(p[0]), dstNode))
+			visit(k, i, dist[dstNode], graph.PathFromPrev(prev, topo.GSNode(p[0]), dstNode, nil))
 		}
 	}
 }
@@ -84,7 +84,7 @@ func scratchAnalyzePairs(topo *routing.Topology, cfg Config) []PairStats {
 		if hops > st.MaxHops {
 			st.MaxHops = hops
 		}
-		sats := routing.SatSequence(topo, path)
+		sats := routing.SatSequence(topo, path, nil)
 		if lastPath[i] != nil && !slices.Equal(lastPath[i], sats) {
 			st.PathChanges++
 		}
@@ -111,7 +111,7 @@ func scratchPathChangeProfile(topo *routing.Topology, cfg Config) *ChangeProfile
 			lastPath[i] = nil
 			return
 		}
-		sats := routing.SatSequence(topo, path)
+		sats := routing.SatSequence(topo, path, nil)
 		if lastPath[i] != nil && !slices.Equal(lastPath[i], sats) {
 			prof.PerStep[k]++
 			prof.PerPair[i]++

@@ -346,11 +346,21 @@ func (c *Constellation) PositionsECEF(t float64, dst []geom.Vec3) []geom.Vec3 {
 //
 //hypatia:pure
 func MaxGSLRange(h, minEl float64) float64 {
+	return MaxGSLRangeSin(h, minEl, math.Sin(minEl))
+}
+
+// MaxGSLRangeSin is MaxGSLRange with sinMinEl = math.Sin(minEl) supplied by
+// the caller, so a scan over many satellites under one elevation floor
+// evaluates the sine once. Its result is bitwise MaxGSLRange's.
+//
+//hypatia:noalloc
+//hypatia:pure
+func MaxGSLRangeSin(h, minEl, sinMinEl float64) float64 {
 	if minEl <= 0 {
 		// Degenerate to the horizon-limited slant range.
 		return geom.MaxSlantRange(h, 0)
 	}
-	return h / math.Sin(minEl)
+	return h / sinMinEl
 }
 
 // VisibleFrom returns the indices of satellites connectable from the
@@ -373,10 +383,11 @@ func (c *Constellation) VisibleFromInto(obs geom.LLA, t float64, positions []geo
 		positions = c.PositionsECEF(t, nil)
 	}
 	obsECEF := obs.ToECEF()
+	sinMinEl := math.Sin(c.MinElev)
 	out = out[:0]
 	for i, p := range positions {
 		h := p.Norm() - geom.EarthRadius // instantaneous altitude
-		if p.Distance(obsECEF) > MaxGSLRange(h, c.MinElev) {
+		if p.Distance(obsECEF) > MaxGSLRangeSin(h, c.MinElev, sinMinEl) {
 			continue
 		}
 		if geom.Elevation(obs, p) < 0 {

@@ -62,6 +62,9 @@ func TestNewRunDefaults(t *testing.T) {
 // panicking, for every configuration it cannot run. The out-of-range
 // destination used to panic on the forwarding-state producer goroutine,
 // which kills the process; the negative horizons panicked in makeslice.
+// A negative hop limit and a non-finite link rate used to run silently:
+// the first dropped every packet at the TTL check, the second priced every
+// transmission with a garbage serialization time.
 func TestNewRunRejectsBadInputs(t *testing.T) {
 	gs := fourCities(t)
 	for _, tc := range []struct {
@@ -76,6 +79,9 @@ func TestNewRunRejectsBadInputs(t *testing.T) {
 		{"negative duration", RunConfig{Constellation: miniConfig(), GroundStations: gs, Duration: -sim.Second}},
 		{"negative update interval", RunConfig{Constellation: miniConfig(), GroundStations: gs, UpdateInterval: -sim.Millisecond}},
 		{"negative position quantum", RunConfig{Constellation: miniConfig(), GroundStations: gs, Net: sim.Config{PosQuantum: -sim.Millisecond}}},
+		{"negative hop limit", RunConfig{Constellation: miniConfig(), GroundStations: gs, Net: sim.Config{MaxHops: -1}}},
+		{"NaN GSL rate", RunConfig{Constellation: miniConfig(), GroundStations: gs, Net: sim.Config{GSLRateBps: math.NaN()}}},
+		{"infinite ISL rate", RunConfig{Constellation: miniConfig(), GroundStations: gs, Net: sim.Config{ISLRateBps: math.Inf(1)}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := NewRun(tc.cfg)

@@ -33,12 +33,15 @@ const pipelineDepth = 16
 // instants every link weight drifts slightly but the per-destination settle
 // orders barely move, so re-solving each tree in its carried order over the
 // delta layer's cached-visibility snapshots is far cheaper than recomputing
-// each instant from scratch, and the chain is inherently sequential. Its
-// tables are bitwise identical to the from-scratch ones (the hypatia_checks
-// build re-derives every column inside the engine, and the differential
-// suite proves the same end to end). A custom Strategy is an opaque
-// function, so it is called on a from-scratch snapshot each instant, with
-// the process's full parallelism as its worker budget.
+// each instant from scratch. The instants chain sequentially, since each
+// repair starts from the previous instant's settle orders, but within an
+// instant the per-destination trees are independent, and the engine fans
+// them out over GOMAXPROCS workers. Its tables are bitwise identical to
+// the from-scratch ones (the hypatia_checks build re-derives every column
+// inside the engine, and the differential suite proves the same end to
+// end). A custom Strategy is an opaque function, so it is called on a
+// from-scratch snapshot each instant, with the process's full parallelism
+// as its worker budget.
 //
 // The engine draws table buffers from its routing.TablePool; the consumer
 // releases each table back to the pool once the next one is installed, so a
@@ -48,7 +51,8 @@ type pipeline struct {
 	strategy Strategy
 	active   []int
 	times    []sim.Time
-	workers  int // worker budget handed to a custom Strategy
+	workers  int                        // worker budget handed to a custom Strategy
+	eng      *routing.IncrementalEngine // the default path; nil with a custom Strategy
 
 	tables chan *routing.ForwardingTable
 	done   chan struct{}
@@ -68,6 +72,9 @@ func newPipeline(topo *routing.Topology, strategy Strategy, active []int, times 
 		tables:   make(chan *routing.ForwardingTable, pipelineDepth),
 		done:     make(chan struct{}),
 	}
+	if strategy == nil {
+		p.eng = routing.NewIncrementalEngine(topo, nil)
+	}
 	p.wg.Add(1)
 	go p.producer()
 	return p
@@ -78,24 +85,24 @@ func newPipeline(topo *routing.Topology, strategy Strategy, active []int, times 
 // pipelineDepth tables are waiting. It holds the machine-checked
 // no-allocation contract for its steady-state loop: the incremental chain
 // reuses the engine's carried arenas end to end and the strategy path
-// reuses one snapshot arena, so after one-time engine setup each instant is
-// produced without touching the heap, save for whatever a custom strategy
-// allocates itself.
+// reuses one snapshot arena, so each instant is produced without touching
+// the heap, save for whatever a custom strategy allocates itself. The
+// engine is built in newPipeline, on the caller's goroutine.
 //
 //hypatia:noalloc
 func (p *pipeline) producer() {
 	defer p.wg.Done()
-	var eng *routing.IncrementalEngine
-	if p.strategy == nil {
-		// One-time setup, amortized over the run's instants; the analyzer
-		// already counts an allocation under a nil guard as amortized.
-		eng = routing.NewIncrementalEngine(p.topo, nil)
-	}
 	var snap *routing.Snapshot
 	for _, at := range p.times {
 		var ft *routing.ForwardingTable
-		if eng != nil {
-			ft = eng.Step(at.Seconds(), p.active)
+		if p.eng != nil {
+			// Step fans the instant's per-station repairs out over worker
+			// goroutines, which the worker contract cannot follow into, so
+			// it carries no //hypatia:pure. Its results are nonetheless a
+			// function of the instant alone: each repair runs the pure
+			// kernel and writes only its own station's arrays.
+			//lint:ignore purity Step's fan-out writes disjoint per-station arrays through a pure kernel
+			ft = p.eng.Step(at.Seconds(), p.active)
 		} else {
 			snap = p.topo.SnapshotInto(at.Seconds(), snap)
 			ft = p.strategy(snap, p.active, p.workers) //hypatia:allocs(amortized) custom strategies own their allocation budget

@@ -90,10 +90,10 @@ func fmtStretches(xs []float64) string {
 
 func satDisjoint(topo *routing.Topology, a, b []int) bool {
 	seen := map[int]bool{}
-	for _, v := range routing.SatSequence(topo, a) {
+	for _, v := range routing.SatSequence(topo, a, nil) {
 		seen[v] = true
 	}
-	for _, v := range routing.SatSequence(topo, b) {
+	for _, v := range routing.SatSequence(topo, b, nil) {
 		if seen[v] {
 			return false
 		}

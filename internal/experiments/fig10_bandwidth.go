@@ -195,7 +195,7 @@ func unusedSeries(run *core.Run, mon *LinkMonitor, src, dst int, frozen bool) []
 		if w == 0 || !frozen {
 			eng.Solve(float64(w), []int{src})
 			_, prev := eng.Tree(src)
-			path = graph.PathFromPrev(prev, run.Topo.GSNode(src), run.Topo.GSNode(dst))
+			path = graph.PathFromPrev(prev, run.Topo.GSNode(src), run.Topo.GSNode(dst), nil)
 		}
 		if path == nil {
 			out[w] = math.NaN()

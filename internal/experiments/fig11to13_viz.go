@@ -140,9 +140,9 @@ func Fig13PathEvolution(scale Scale, step float64) (*Fig13Result, *Report, error
 
 	rep := &Report{Title: "Fig 13: Paris-Luanda shortest-path evolution (Starlink S1)"}
 	rep.Addf("max RTT %.1f ms at t=%.1fs over %d hops (%d satellites)",
-		res.MaxRTT*1e3, res.MaxT, len(res.MaxPath)-1, len(routing.SatSequence(topo, res.MaxPath)))
+		res.MaxRTT*1e3, res.MaxT, len(res.MaxPath)-1, len(routing.SatSequence(topo, res.MaxPath, nil)))
 	rep.Addf("min RTT %.1f ms at t=%.1fs over %d hops (%d satellites)",
-		res.MinRTT*1e3, res.MinT, len(res.MinPath)-1, len(routing.SatSequence(topo, res.MinPath)))
+		res.MinRTT*1e3, res.MinT, len(res.MinPath)-1, len(routing.SatSequence(topo, res.MinPath, nil)))
 	rep.Addf("RTT ratio max/min: %.2fx (paper: 117 ms vs 85 ms = 1.38x)", res.MaxRTT/res.MinRTT)
 	_ = geom.SpeedOfLight
 	return res, rep, nil

@@ -230,7 +230,7 @@ func TestRepairSSSPBellmanFord(t *testing.T) {
 					t.Fatalf("unreachable node %d has prev %d", v, prev[v])
 				}
 			default:
-				if PathFromPrev(prev, src, v) == nil {
+				if PathFromPrev(prev, src, v, nil) == nil {
 					t.Fatalf("node %d reachable (dist %v) but prev tree yields no path", v, dist[v])
 				}
 				achieved := false

@@ -73,7 +73,8 @@ func (g *Graph) Reset(n int) {
 
 // csr returns the graph's CSR adjacency mirror, rebuilding it if any edge
 // was added since the last build. Only for single-owner use (the repair
-// paths): the rebuild mutates the receiver.
+// paths): the rebuild mutates the receiver. Repairs that share one graph
+// across goroutines call BuildCSR first, after which csr only reads.
 //
 //hypatia:noalloc
 //hypatia:pure
@@ -109,6 +110,15 @@ func (g *Graph) csr() (off, to []int32, w []float64) {
 	g.csrOK = true
 	return g.csrOff, g.csrTo, g.csrW
 }
+
+// BuildCSR brings the CSR mirror RepairSSSPDense sweeps up to date with the
+// edges added so far. The build mutates the graph, so a caller fanning
+// repairs over one graph out to several goroutines must call it before the
+// fan-out; the concurrent repairs then only read the graph.
+//
+//hypatia:noalloc
+//hypatia:pure
+func (g *Graph) BuildCSR() { g.csr() }
 
 // N returns the number of nodes.
 //
@@ -353,14 +363,16 @@ func (g *Graph) DijkstraScratch(src int, dist []float64, prev []int32, sc *Scrat
 }
 
 // PathFromPrev reconstructs the path src..dst from a prev array produced by
-// Dijkstra(src, ...). It returns nil if dst is unreachable.
+// Dijkstra(src, ...) into buf's storage (nil allocates a fresh slice), so a
+// caller extracting one path after another can reuse a single buffer. It
+// returns nil if dst is unreachable.
 //
-//hypatia:handle(prev: node->node, src: node, dst: node)
-func PathFromPrev(prev []int32, src, dst int) []int {
+//hypatia:handle(prev: node->node, src: node, dst: node, buf: ->node, return: ->node)
+func PathFromPrev(prev []int32, src, dst int, buf []int) []int {
 	if prev[dst] == -1 {
 		return nil
 	}
-	var rev []int
+	rev := buf[:0]
 	for v := dst; ; v = int(prev[v]) {
 		rev = append(rev, v)
 		if v == src {

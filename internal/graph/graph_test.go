@@ -45,7 +45,7 @@ func TestDijkstraLine(t *testing.T) {
 			t.Errorf("dist[%d] = %v", i, dist[i])
 		}
 	}
-	path := PathFromPrev(prev, 0, 4)
+	path := PathFromPrev(prev, 0, 4, nil)
 	want := []int{0, 1, 2, 3, 4}
 	if len(path) != len(want) {
 		t.Fatalf("path = %v", path)
@@ -65,7 +65,7 @@ func TestDijkstraUnreachable(t *testing.T) {
 	if !math.IsInf(dist[2], 1) || !math.IsInf(dist[3], 1) {
 		t.Errorf("disconnected distances: %v", dist)
 	}
-	if PathFromPrev(prev, 0, 3) != nil {
+	if PathFromPrev(prev, 0, 3, nil) != nil {
 		t.Error("path to unreachable node should be nil")
 	}
 }
@@ -87,7 +87,7 @@ func TestDijkstraPicksShorterOfTwoRoutes(t *testing.T) {
 	if dist[3] != 3 {
 		t.Errorf("dist[3] = %v, want 3 (via 1,2)", dist[3])
 	}
-	path := PathFromPrev(prev, 0, 3)
+	path := PathFromPrev(prev, 0, 3, nil)
 	if len(path) != 4 {
 		t.Errorf("path = %v", path)
 	}
@@ -102,10 +102,10 @@ func TestDijkstraDeterministicTieBreak(t *testing.T) {
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(2, 3, 1)
 	_, prev1 := g.Dijkstra(0, nil, nil)
-	first := PathFromPrev(prev1, 0, 3)
+	first := PathFromPrev(prev1, 0, 3, nil)
 	for i := 0; i < 10; i++ {
 		_, prev := g.Dijkstra(0, nil, nil)
-		p := PathFromPrev(prev, 0, 3)
+		p := PathFromPrev(prev, 0, 3, nil)
 		for j := range p {
 			if p[j] != first[j] {
 				t.Fatalf("tie-break unstable: %v vs %v", p, first)

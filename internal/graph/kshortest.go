@@ -26,7 +26,7 @@ func (g *Graph) KShortestPaths(src, dst, k int) []WeightedPath {
 		return nil
 	}
 	dist, prev := g.Dijkstra(src, nil, nil)
-	first := PathFromPrev(prev, src, dst)
+	first := PathFromPrev(prev, src, dst, nil)
 	if first == nil {
 		return nil
 	}
@@ -62,7 +62,7 @@ func (g *Graph) KShortestPaths(src, dst, k int) []WeightedPath {
 			if math.IsInf(spurDist[dst], 1) {
 				continue
 			}
-			spurPath := PathFromPrev(spurPrev, spur, dst)
+			spurPath := PathFromPrev(spurPrev, spur, dst, nil)
 			total := append(append([]int{}, rootNodes[:i]...), spurPath...)
 			weight := g.pathWeight(total)
 			if math.IsInf(weight, 1) {

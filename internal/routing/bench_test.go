@@ -8,7 +8,7 @@ import (
 	"hypatia/internal/groundstation"
 )
 
-func benchTopo(b *testing.B, policy GSLPolicy) *Topology {
+func benchTopo(b testing.TB, policy GSLPolicy) *Topology {
 	b.Helper()
 	c, err := constellation.Generate(constellation.Kuiper())
 	if err != nil {

@@ -2,6 +2,9 @@ package routing
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"hypatia/internal/check"
 	"hypatia/internal/constellation"
@@ -53,6 +56,7 @@ type DeltaState struct {
 	visLists  [][]int32   //hypatia:handle(gs->node)  per-GS ascending visible-satellite indices
 	visValid  bool        // cache primed and valid for forward stepping
 	lastT     float64
+	sinMinEl  float64 // math.Sin of the constellation's elevation floor
 
 	// visScratch is verifyVisibility's from-scratch scan buffer, held on
 	// the state so the hypatia_checks cross-check does not allocate per
@@ -76,6 +80,7 @@ func (d *DeltaState) reset(t *Topology) {
 	nGS := t.NumGS()
 	d.topo = t
 	d.visValid = false
+	d.sinMinEl = math.Sin(t.Constellation.MinElev)
 	if cap(d.up) < nGS {
 		d.up = make([]geom.Vec3, nGS)
 		d.rowNext = make([]float64, nGS)
@@ -114,7 +119,7 @@ func (d *DeltaState) refreshPair(t *Topology, gi, si int, tsec float64, pos []ge
 	obs := t.gsECEF[gi]
 	h := p.Norm() - geom.EarthRadius
 	dist := p.Distance(obs)
-	rng := constellation.MaxGSLRange(h, c.MinElev)
+	rng := constellation.MaxGSLRangeSin(h, c.MinElev, d.sinMinEl)
 	// The local-up component of the GS→satellite vector has exactly the
 	// sign of geom.Elevation (asin of the component over a positive range),
 	// so `u < 0` reproduces the horizon criterion bitwise.
@@ -128,7 +133,7 @@ func (d *DeltaState) refreshPair(t *Topology, gi, si int, tsec float64, pos []ge
 	// projection of the satellite position, so it moves at ≤ maxECEFSpeed.
 	safe := 0.0
 	if c.MinElev > 0 {
-		rate := (1 + 1/math.Sin(c.MinElev)) * maxECEFSpeed
+		rate := (1 + 1/d.sinMinEl) * maxECEFSpeed
 		safe = math.Abs(dist-rng) / rate
 		if s2 := math.Abs(u) / maxECEFSpeed; s2 < safe {
 			safe = s2
@@ -383,6 +388,13 @@ func (t *Topology) deltaSnapshot(tsec float64, d *DeltaState) *Snapshot {
 // engine is single-owner state (one goroutine at a time); tables Step
 // returns are the caller's to Release.
 //
+// Within one instant the per-station trees are independent, so Solve fans
+// the requested stations out over up to GOMAXPROCS workers (read once, at
+// construction). Each station's repair reads the shared graph and writes
+// only that station's dist/prev/order arrays, with the worker's own
+// scratch, so which worker repairs which station — and in what order — can
+// never reach the results: they are bitwise those of the one-worker loop.
+//
 //hypatia:confined
 type IncrementalEngine struct {
 	topo *Topology
@@ -397,9 +409,21 @@ type IncrementalEngine struct {
 	avoidAny bool
 	pruned   *graph.Graph
 
-	repair graph.RepairScratch
-
 	all []int //hypatia:handle(->gs)  every ground station: what a nil station set means
+
+	// Fan-out state. repair holds one scratch per worker and helpers one
+	// prebuilt launch function per worker beyond the caller's own, so a
+	// fanned-out Solve allocates nothing in steady state. fanG and uniq are
+	// the instant's graph and distinct stations; workers claim stations off
+	// next until uniq runs out. mark[gs] == gen once gs is listed in uniq.
+	repair  []graph.RepairScratch
+	helpers []func()
+	fanG    *graph.Graph
+	uniq    []int   //hypatia:handle(->gs)
+	mark    []int64 //hypatia:handle(gs)
+	gen     int64
+	next    atomic.Int64
+	wg      sync.WaitGroup
 
 	// Per-destination shortest-path state: the dist/prev solution arrays and
 	// the settle order carried into the next repair. A nil order marks a
@@ -412,9 +436,8 @@ type IncrementalEngine struct {
 }
 
 // NewIncrementalEngine builds an engine over topo drawing tables from pool
-// (nil allocates a private pool).
-//
-//hypatia:pure
+// (nil allocates a private pool). Solve will use up to GOMAXPROCS workers,
+// as set at this call.
 func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 	if pool == nil {
 		pool = &TablePool{}
@@ -424,14 +447,24 @@ func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 	for gs := range all {
 		all[gs] = gs
 	}
-	return &IncrementalEngine{
-		topo:  topo,
-		pool:  pool,
-		all:   all,
-		dist:  make([][]float64, ng),
-		prev:  make([][]int32, ng),
-		order: make([][]int32, ng),
+	workers := max(1, min(runtime.GOMAXPROCS(0), ng))
+	e := &IncrementalEngine{
+		topo:   topo,
+		pool:   pool,
+		all:    all,
+		mark:   make([]int64, ng),
+		repair: make([]graph.RepairScratch, workers),
+		dist:   make([][]float64, ng),
+		prev:   make([][]int32, ng),
+		order:  make([][]int32, ng),
 	}
+	for w := 1; w < workers; w++ {
+		e.helpers = append(e.helpers, func() {
+			defer e.wg.Done()
+			e.repairShare(w)
+		})
+	}
+	return e
 }
 
 // SetAvoid excludes the given nodes from all subsequent routing, as
@@ -484,25 +517,63 @@ func pruneInto(src *graph.Graph, avoid []bool, dst *graph.Graph) *graph.Graph {
 
 // Solve re-solves the shortest-path trees rooted at the given ground
 // stations (nil = all) for time tsec, each over its carried settle order.
-// The solutions stay engine-owned; Tree reads them.
+// A station listed twice is solved once. The solutions stay engine-owned;
+// Tree reads them.
 //
-//hypatia:noalloc
-//hypatia:pure
+// The stations fan out over the engine's workers: the calling goroutine
+// repairs stations alongside up to len(stations)-1 helpers, each claiming
+// the next unsolved station off an atomic index — the first Solve seeds
+// every tree from scratch, so per-station costs vary too much for a static
+// split. With one worker or one station no goroutine is started.
+//
 //hypatia:handle(srcs: ->gs)
 func (e *IncrementalEngine) Solve(tsec float64, srcs []int) {
 	t := e.topo
-	n := t.NumNodes()
 	snap := t.deltaSnapshot(tsec, &e.delta)
 	g := snap.G
 	if e.avoidAny {
 		e.pruned = pruneInto(snap.G, e.avoid, e.pruned)
 		g = e.pruned
 	}
-
 	if srcs == nil {
 		srcs = e.all
 	}
+	e.prepare(srcs)
+	// The repairs share g read-only; its lazy CSR mirror is the one part
+	// they would otherwise build on first use, racing each other.
+	g.BuildCSR()
+	e.fanG = g
+	e.next.Store(0)
+	helpers := e.helpers[:min(len(e.helpers), max(len(e.uniq)-1, 0))]
+	e.wg.Add(len(helpers))
+	for _, launch := range helpers {
+		go launch()
+	}
+	e.repairShare(0)
+	e.wg.Wait()
+	if check.Enabled {
+		e.oracleCheck(tsec, srcs)
+	}
+}
+
+// prepare lists srcs' distinct stations in e.uniq, in first-appearance
+// order, and gives each station never solved before its solution arrays,
+// with the identity settle order a first repair starts from. It runs
+// before the fan-out, so the workers only ever touch arrays that exist.
+//
+//hypatia:noalloc
+//hypatia:pure
+//hypatia:handle(srcs: ->gs)
+func (e *IncrementalEngine) prepare(srcs []int) {
+	n := e.topo.NumNodes()
+	e.gen++
+	uniq := e.uniq[:0]
 	for _, gs := range srcs {
+		if e.mark[gs] == e.gen {
+			continue
+		}
+		e.mark[gs] = e.gen
+		uniq = append(uniq, gs)
 		if e.order[gs] == nil {
 			ord := make([]int32, n)
 			for i := range ord {
@@ -512,14 +583,25 @@ func (e *IncrementalEngine) Solve(tsec float64, srcs []int) {
 			e.dist[gs] = make([]float64, n)
 			e.prev[gs] = make([]int32, n)
 		}
-		g.RepairSSSPDense(t.GSNode(gs), e.dist[gs], e.prev[gs], e.order[gs], &e.repair)
 	}
-	if check.Enabled {
-		// The checked-build oracle is deliberately impure: it bumps a
-		// process-global comparison counter so check.sh can assert the
-		// differential layer actually ran.
-		//lint:ignore purity hypatia_checks oracle counts comparisons globally
-		e.oracleCheck(tsec, srcs)
+	e.uniq = uniq
+}
+
+// repairShare is one worker's part of a Solve: it claims stations off the
+// shared index until none are left and repairs each tree with the worker's
+// own scratch. A station's repair writes only that station's arrays.
+//
+//hypatia:noalloc
+//hypatia:pure
+func (e *IncrementalEngine) repairShare(w int) {
+	sc := &e.repair[w]
+	for {
+		i := int(e.next.Add(1)) - 1
+		if i >= len(e.uniq) {
+			return
+		}
+		gs := e.uniq[i]
+		e.fanG.RepairSSSPDense(e.topo.GSNode(gs), e.dist[gs], e.prev[gs], e.order[gs], sc)
 	}
 }
 
@@ -539,8 +621,6 @@ func (e *IncrementalEngine) Tree(gs int) (dist []float64, prev []int32) {
 // destination. The table comes from the engine's pool; the caller owns it
 // and must Release it.
 //
-//hypatia:noalloc
-//hypatia:pure
 //hypatia:handle(active: ->gs)
 func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
 	if active == nil {

@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hypatia/internal/check"
@@ -135,6 +137,48 @@ func TestIncrementalEngineBackwardTime(t *testing.T) {
 			t.Fatalf("t=%v: incremental table differs from scratch", tsec)
 		}
 		got.Release()
+	}
+}
+
+// TestSolveFanOutMatchesOneWorker holds Solve's fan-out to the one-worker
+// loop: engines built at GOMAXPROCS 1 and 4 step the same Kuiper K1
+// instant sequence (100 ms drift, a coarse jump, a backward jump), through
+// Step for every station and Solve for a subset listing each station twice
+// in a row (without Solve's deduplication, two workers would repair one
+// tree at once). Every tree's dist, prev and carried settle order must
+// agree bitwise, and every table must be Equal.
+func TestSolveFanOutMatchesOneWorker(t *testing.T) {
+	topo := benchTopo(t, GSLFree)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a := NewIncrementalEngine(topo, nil)
+	runtime.GOMAXPROCS(4)
+	b := NewIncrementalEngine(topo, nil)
+	if w := len(b.repair); w != 4 {
+		t.Fatalf("engine built at GOMAXPROCS 4 has %d workers", w)
+	}
+	subset := []int{7, 7, 3, 3, 99, 99, 42, 42, 0, 0}
+	for k, tsec := range []float64{0, 0.1, 0.2, 0.3, 5, 5.1, 0.05} {
+		if k%2 == 0 {
+			one, four := a.Step(tsec, nil), b.Step(tsec, nil)
+			if !one.Equal(four) {
+				t.Fatalf("t=%v: fanned-out table differs from the one-worker table", tsec)
+			}
+			one.Release()
+			four.Release()
+		} else {
+			a.Solve(tsec, subset)
+			b.Solve(tsec, subset)
+		}
+		for gs := 0; gs < topo.NumGS(); gs++ {
+			for i := range a.dist[gs] {
+				if math.Float64bits(a.dist[gs][i]) != math.Float64bits(b.dist[gs][i]) ||
+					a.prev[gs][i] != b.prev[gs][i] || a.order[gs][i] != b.order[gs][i] {
+					t.Fatalf("t=%v gs %d node %d: one worker has (%v, %d, order %d), four have (%v, %d, order %d)",
+						tsec, gs, i, a.dist[gs][i], a.prev[gs][i], a.order[gs][i],
+						b.dist[gs][i], b.prev[gs][i], b.order[gs][i])
+				}
+			}
+		}
 	}
 }
 

@@ -88,6 +88,7 @@ func (t *Topology) GSNode(gs int) int { return t.NumSats() + gs }
 // IsGS reports whether node is a ground station.
 //
 //hypatia:noalloc
+//hypatia:pure
 //hypatia:handle(node: node)
 func (t *Topology) IsGS(node int) bool { return node >= t.NumSats() }
 
@@ -234,7 +235,7 @@ func (s *Snapshot) Path(srcGS, dstGS int) ([]int, float64) {
 	if math.IsInf(dist[dstNode], 1) {
 		return nil, graph.Infinity
 	}
-	return graph.PathFromPrev(prev, s.Topo.GSNode(srcGS), dstNode), dist[dstNode]
+	return graph.PathFromPrev(prev, s.Topo.GSNode(srcGS), dstNode, nil), dist[dstNode]
 }
 
 // RTT returns the instantaneous two-way propagation latency in seconds
@@ -527,14 +528,14 @@ func (ft *ForwardingTable) PathVia(topo *Topology, src, dstGS int) []int {
 	return path
 }
 
-// SatSequence extracts the satellite node ids from a path, dropping ground
-// stations (endpoints and, in bent-pipe scenarios, relays). Two paths are
-// "the same" in the paper's path-change metric iff their satellite
-// sequences are identical.
+// SatSequence extracts the satellite node ids from a path into buf's
+// storage (nil allocates), dropping ground stations (endpoints and, in
+// bent-pipe scenarios, relays). Two paths are "the same" in the paper's
+// path-change metric iff their satellite sequences are identical.
 //
-//hypatia:handle(path: ->node)
-func SatSequence(topo *Topology, path []int) []int {
-	var sats []int
+//hypatia:handle(path: ->node, buf: ->node, return: ->node)
+func SatSequence(topo *Topology, path, buf []int) []int {
+	sats := buf[:0]
 	for _, v := range path {
 		if !topo.IsGS(v) {
 			sats = append(sats, v)
@@ -544,21 +545,30 @@ func SatSequence(topo *Topology, path []int) []int {
 }
 
 // SameSatPath reports whether two paths traverse the same satellites in the
-// same order.
+// same order, without materializing either satellite sequence. A satellite
+// sequence is its own satellite sequence, so either argument may be one.
 //
+//hypatia:noalloc
+//hypatia:pure
 //hypatia:handle(a: ->node, b: ->node)
 func SameSatPath(topo *Topology, a, b []int) bool {
-	sa := SatSequence(topo, a)
-	sb := SatSequence(topo, b)
-	if len(sa) != len(sb) {
-		return false
-	}
-	for i := range sa {
-		if sa[i] != sb[i] {
+	i, j := 0, 0
+	for {
+		for i < len(a) && topo.IsGS(a[i]) {
+			i++
+		}
+		for j < len(b) && topo.IsGS(b[j]) {
+			j++
+		}
+		if i == len(a) || j == len(b) {
+			return i == len(a) && j == len(b)
+		}
+		if a[i] != b[j] {
 			return false
 		}
+		i++
+		j++
 	}
-	return true
 }
 
 // HopCount returns the number of hops (links) in a path, 0 for nil.

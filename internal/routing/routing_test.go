@@ -282,9 +282,21 @@ func TestSatSequenceAndSameSatPath(t *testing.T) {
 	if SameSatPath(topo, pathA, pathD) {
 		t.Error("different length not detected")
 	}
-	seq := SatSequence(topo, pathA)
+	seq := SatSequence(topo, pathA, nil)
 	if len(seq) != 3 || seq[0] != 5 || seq[2] != 7 {
 		t.Errorf("SatSequence = %v", seq)
+	}
+	// A satellite sequence compares equal to every path it was taken from,
+	// ground-station relays anywhere along the path included.
+	relayed := []int{g0, 5, topo.GSNode(2), 6, 7, g1}
+	if !SameSatPath(topo, seq, pathA) || !SameSatPath(topo, relayed, seq) {
+		t.Error("satellite sequence differs from its own path")
+	}
+	if SameSatPath(topo, seq, pathD) || SameSatPath(topo, seq[:2], pathA) {
+		t.Error("prefix satellite sequence reported equal")
+	}
+	if reused := SatSequence(topo, pathC, seq); &reused[0] != &seq[0] || reused[1] != 9 {
+		t.Errorf("SatSequence into a buffer = %v, want the buffer's storage", reused)
 	}
 }
 

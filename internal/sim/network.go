@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"hypatia/internal/check"
 	"hypatia/internal/geom"
@@ -283,8 +284,16 @@ func (n *Network) DeviceStats() []DeviceStats {
 // NewNetwork builds the node and device fabric for a topology.
 func NewNetwork(s *Simulator, topo *routing.Topology, cfg Config) (*Network, error) {
 	cfg = cfg.WithDefaults()
-	if cfg.ISLRateBps < 0 || cfg.GSLRateBps < 0 {
-		return nil, fmt.Errorf("sim: negative link rate")
+	for _, r := range []struct {
+		field string
+		bps   float64
+	}{{"ISLRateBps", cfg.ISLRateBps}, {"GSLRateBps", cfg.GSLRateBps}} {
+		if !(r.bps > 0) || math.IsInf(r.bps, 1) {
+			return nil, fmt.Errorf("sim: %s %v is not a positive finite link rate", r.field, r.bps)
+		}
+	}
+	if cfg.MaxHops < 0 {
+		return nil, fmt.Errorf("sim: negative MaxHops %d", cfg.MaxHops)
 	}
 	if cfg.QueuePackets < 0 {
 		return nil, fmt.Errorf("sim: negative queue capacity")
