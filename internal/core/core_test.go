@@ -82,6 +82,14 @@ func TestNewRunRejectsBadInputs(t *testing.T) {
 		{"negative hop limit", RunConfig{Constellation: miniConfig(), GroundStations: gs, Net: sim.Config{MaxHops: -1}}},
 		{"NaN GSL rate", RunConfig{Constellation: miniConfig(), GroundStations: gs, Net: sim.Config{GSLRateBps: math.NaN()}}},
 		{"infinite ISL rate", RunConfig{Constellation: miniConfig(), GroundStations: gs, Net: sim.Config{ISLRateBps: math.Inf(1)}}},
+		{"infinite RateFor result", RunConfig{Constellation: miniConfig(), GroundStations: gs, Net: sim.Config{RateFor: func(node, peer int) float64 { return math.Inf(1) }}}},
+		{"NaN RateFor result", RunConfig{Constellation: miniConfig(), GroundStations: gs, Net: sim.Config{RateFor: func(node, peer int) float64 { return math.NaN() }}}},
+		{"negative RateFor result on one ISL", RunConfig{Constellation: miniConfig(), GroundStations: gs, Net: sim.Config{RateFor: func(node, peer int) float64 {
+			if node == 5 && peer >= 0 {
+				return -1e6
+			}
+			return 0
+		}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := NewRun(tc.cfg)

@@ -1,8 +1,10 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -417,6 +419,7 @@ type IncrementalEngine struct {
 	// the instant's graph and distinct stations; workers claim stations off
 	// next until uniq runs out. mark[gs] == gen once gs is listed in uniq.
 	repair  []graph.RepairScratch
+	faults  []shareFault // per worker: a panic recovered from its share of a Solve
 	helpers []func()
 	fanG    *graph.Graph
 	uniq    []int   //hypatia:handle(->gs)
@@ -454,6 +457,7 @@ func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 		all:    all,
 		mark:   make([]int64, ng),
 		repair: make([]graph.RepairScratch, workers),
+		faults: make([]shareFault, workers),
 		dist:   make([][]float64, ng),
 		prev:   make([][]int32, ng),
 		order:  make([][]int32, ng),
@@ -461,7 +465,7 @@ func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 	for w := 1; w < workers; w++ {
 		e.helpers = append(e.helpers, func() {
 			defer e.wg.Done()
-			e.repairShare(w)
+			e.share(w)
 		})
 	}
 	return e
@@ -526,6 +530,11 @@ func pruneInto(src *graph.Graph, avoid []bool, dst *graph.Graph) *graph.Graph {
 // every tree from scratch, so per-station costs vary too much for a static
 // split. With one worker or one station no goroutine is started.
 //
+// A panic in any worker's repair (a bug, never an input) is held until
+// every worker has stopped, then raised again from Solve on the caller's
+// goroutine, naming the instant and the station. The engine's trees are
+// then unusable.
+//
 //hypatia:handle(srcs: ->gs)
 func (e *IncrementalEngine) Solve(tsec float64, srcs []int) {
 	t := e.topo
@@ -549,8 +558,15 @@ func (e *IncrementalEngine) Solve(tsec float64, srcs []int) {
 	for _, launch := range helpers {
 		go launch()
 	}
-	e.repairShare(0)
+	e.share(0)
 	e.wg.Wait()
+	for w := range e.faults {
+		if f := e.faults[w]; f.stack != nil {
+			clear(e.faults)
+			panic(fmt.Sprintf("routing: Solve at t=%v s: repair of the tree toward ground station %d panicked: %v\n%s",
+				tsec, f.gs, f.val, f.stack))
+		}
+	}
 	if check.Enabled {
 		e.oracleCheck(tsec, srcs)
 	}
@@ -587,13 +603,34 @@ func (e *IncrementalEngine) prepare(srcs []int) {
 	e.uniq = uniq
 }
 
+// shareFault is a panic recovered from one worker's share of a Solve: the
+// station it was repairing, the panic value, and the worker's stack.
+type shareFault struct {
+	gs    int //hypatia:handle(gs)
+	val   any
+	stack []byte
+}
+
+// share runs worker w's repairShare, recovering a panic into e.faults[w]
+// so that it reaches Solve's caller instead of ending the process.
+func (e *IncrementalEngine) share(w int) {
+	gs := -1
+	defer func() {
+		if v := recover(); v != nil {
+			e.faults[w] = shareFault{gs: gs, val: v, stack: debug.Stack()}
+		}
+	}()
+	e.repairShare(w, &gs)
+}
+
 // repairShare is one worker's part of a Solve: it claims stations off the
 // shared index until none are left and repairs each tree with the worker's
-// own scratch. A station's repair writes only that station's arrays.
+// own scratch, keeping the station under repair in *cur. A station's repair
+// writes only that station's arrays.
 //
 //hypatia:noalloc
 //hypatia:pure
-func (e *IncrementalEngine) repairShare(w int) {
+func (e *IncrementalEngine) repairShare(w int, cur *int) {
 	sc := &e.repair[w]
 	for {
 		i := int(e.next.Add(1)) - 1
@@ -601,6 +638,7 @@ func (e *IncrementalEngine) repairShare(w int) {
 			return
 		}
 		gs := e.uniq[i]
+		*cur = gs
 		e.fanG.RepairSSSPDense(e.topo.GSNode(gs), e.dist[gs], e.prev[gs], e.order[gs], sc)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"hypatia/internal/check"
@@ -178,6 +179,44 @@ func TestSolveFanOutMatchesOneWorker(t *testing.T) {
 						b.dist[gs][i], b.prev[gs][i], b.order[gs][i])
 				}
 			}
+		}
+	}
+}
+
+// TestSolveHelperPanicReachesCaller corrupts every station's settle order
+// so that every worker's repair panics, helpers included, and requires the
+// panic to come out of Solve on the caller's goroutine, after every worker
+// has stopped, naming the instant and a station.
+func TestSolveHelperPanicReachesCaller(t *testing.T) {
+	topo := benchTopo(t, GSLFree)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	e := NewIncrementalEngine(topo, nil)
+	if w := len(e.repair); w != 4 {
+		t.Fatalf("engine built at GOMAXPROCS 4 has %d workers", w)
+	}
+	e.Solve(0, nil)
+	bad := int32(topo.NumNodes() + 7)
+	for gs := range e.order {
+		for i := range e.order[gs] {
+			e.order[gs][i] = bad
+		}
+	}
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		e.Solve(0.25, nil)
+		return nil
+	}()
+	msg, _ := got.(string)
+	if !strings.Contains(msg, "Solve at t=0.25 s") || !strings.Contains(msg, "toward ground station") ||
+		!strings.Contains(msg, "index out of range") {
+		t.Fatalf("Solve raised %v, want a panic naming the instant, the station and the cause", got)
+	}
+	if e.next.Load() < int64(len(e.repair)) {
+		t.Fatalf("only %d stations claimed; a worker did not run", e.next.Load())
+	}
+	for w, f := range e.faults {
+		if f.stack != nil {
+			t.Fatalf("worker %d fault still held after Solve raised it", w)
 		}
 	}
 }

@@ -9,18 +9,23 @@ import (
 // The AllocGuard tests are the runtime half of the //hypatia:noalloc
 // contract on the event engine; see internal/check/checktest.
 
-// TestAllocGuardEventHeap pins the heap machinery the engine lives on:
-// once the backing array has grown to the working-set size, fill/drain
-// cycles of pushes and pops allocate nothing.
+// TestAllocGuardEventHeap pins the queue machinery the engine lives on:
+// once the slab and the bucket chunks have grown to the working-set size,
+// fill/drain cycles of pushes and pops allocate nothing. Each cycle's
+// instants lie above the last one popped, as the engine's always do.
 func TestAllocGuardEventHeap(t *testing.T) {
-	var h eventHeap
-	checktest.AllocGuard(t, "eventHeap push/pop", 0, 1, func() {
+	var q eventQueue
+	var base Time
+	checktest.AllocGuard(t, "eventQueue push/pop", 0, 1, func() {
 		for i := 0; i < 64; i++ {
-			h.push(event{at: Time(i * 7 % 64), owner: int32(i % 5), kind: evClosure, seq: uint64(i)})
+			q.push(event{at: base + Time(i*7%64), owner: int32(i % 5), kind: evClosure, seq: uint64(i)})
 		}
-		for len(h) > 0 {
-			h.pop()
+		for {
+			if _, ok := q.popUntil(base+64, false); !ok {
+				break
+			}
 		}
+		base += 64
 	})
 }
 

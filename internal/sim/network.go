@@ -83,7 +83,8 @@ type Config struct {
 	// RateFor optionally overrides the link rate (bits/s) per directed
 	// device. It is consulted once per device at construction time with
 	// the owning node and, for ISL devices, the fixed peer (-1 for GSL
-	// devices). Returning 0 keeps the uniform default. This implements
+	// devices). Returning 0 keeps the uniform default; a negative, NaN or
+	// infinite rate makes NewNetwork fail. This implements
 	// the paper's "heterogeneity in terms of link capacities is easy to
 	// accommodate" extension — e.g. newer satellites with faster ISLs.
 	RateFor func(node, peer int) float64
@@ -301,18 +302,21 @@ func NewNetwork(s *Simulator, topo *routing.Topology, cfg Config) (*Network, err
 	if cfg.PosQuantum < 0 {
 		return nil, fmt.Errorf("sim: negative position quantum %v", cfg.PosQuantum)
 	}
-	rateFor := func(node, peer int, fallback float64) float64 {
-		if cfg.RateFor != nil {
-			if r := cfg.RateFor(node, peer); r > 0 {
-				return r
-			}
+	rateFor := func(node, peer int, fallback float64) (float64, error) {
+		if cfg.RateFor == nil {
+			return fallback, nil
 		}
-		return fallback
+		switch r := cfg.RateFor(node, peer); {
+		case r == 0:
+			return fallback, nil
+		case !(r > 0) || math.IsInf(r, 1):
+			return 0, fmt.Errorf("sim: RateFor(node %d, peer %d) = %v is not a positive finite link rate", node, peer, r)
+		default:
+			return r, nil
+		}
 	}
 	numNodes := topo.NumNodes()
 	n := &Network{Sim: s, Topo: topo, cfg: cfg}
-	s.net = n
-	s.st.posBucket = -1
 
 	adj := make([][]int32, numNodes)
 	for _, isl := range topo.Constellation.ISLs {
@@ -333,11 +337,18 @@ func NewNetwork(s *Simulator, topo *routing.Topology, cfg Config) (*Network, err
 	n.pktSeq = make([]uint32, numNodes)
 	for i := 0; i < numNodes; i++ { //hypatia:handle(node) construction walks nodes in id order
 		n.gslDev[i] = int32(len(n.devs))
-		n.devs = append(n.devs, device{node: int32(i), fixedPeer: -1, rateBps: rateFor(i, -1, cfg.GSLRateBps)})
+		rate, err := rateFor(i, -1, cfg.GSLRateBps)
+		if err != nil {
+			return nil, err
+		}
+		n.devs = append(n.devs, device{node: int32(i), fixedPeer: -1, rateBps: rate})
 		for _, p := range adj[i] {
+			if rate, err = rateFor(i, int(p), cfg.ISLRateBps); err != nil {
+				return nil, err
+			}
 			n.islPeer = append(n.islPeer, p)
 			n.islDev = append(n.islDev, int32(len(n.devs)))
-			n.devs = append(n.devs, device{node: int32(i), fixedPeer: p, rateBps: rateFor(i, int(p), cfg.ISLRateBps)})
+			n.devs = append(n.devs, device{node: int32(i), fixedPeer: p, rateBps: rate})
 		}
 		n.islIdx[i+1] = int32(len(n.islPeer))
 		if topo.IsGS(i) {
@@ -345,6 +356,8 @@ func NewNetwork(s *Simulator, topo *routing.Topology, cfg Config) (*Network, err
 		}
 	}
 	n.rings = make([]queued, len(n.devs)*cfg.QueuePackets)
+	s.net = n
+	s.st.posBucket = -1
 	return n, nil
 }
 

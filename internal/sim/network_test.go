@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"hypatia/internal/constellation"
@@ -66,6 +67,38 @@ func TestNewNetworkValidation(t *testing.T) {
 	}
 	if got := n.Config(); got.ISLRateBps != 10e6 || got.GSLRateBps != 10e6 || got.QueuePackets != 100 {
 		t.Errorf("defaults not applied: %+v", got)
+	}
+}
+
+// TestRateForRejectsNonFiniteRates requires NewNetwork to reject a RateFor
+// result that is infinite (zero-time serialization), NaN or negative,
+// naming the node, the peer and the value, while 0 keeps the default.
+func TestRateForRejectsNonFiniteRates(t *testing.T) {
+	topo := testTopo(t)
+	for _, tc := range []struct {
+		rate float64
+		want string
+	}{
+		{math.Inf(1), "RateFor(node 3, peer -1) = +Inf"},
+		{math.NaN(), "RateFor(node 3, peer -1) = NaN"},
+		{-5e6, "RateFor(node 3, peer -1) = -5e+06"},
+		{0, ""},
+	} {
+		cfg := DefaultConfig()
+		cfg.RateFor = func(node, peer int) float64 {
+			if node == 3 && peer == -1 {
+				return tc.rate
+			}
+			return 0
+		}
+		_, err := NewNetwork(NewSimulator(), topo, cfg)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("rate 0: %v", err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("rate %v: error %v, want one containing %q", tc.rate, err, tc.want)
+		}
 	}
 }
 

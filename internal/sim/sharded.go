@@ -11,7 +11,7 @@ import (
 
 // This file implements the sharded conservative-parallel execution mode.
 //
-// Nodes are partitioned into shards, each owning a Simulator (event heap +
+// Nodes are partitioned into shards, each owning a Simulator (event queue +
 // clock) that a dedicated goroutine advances through lookahead windows. The
 // windows are derived from the minimum cross-shard propagation delay: any
 // event a shard executes at time t can influence another shard no earlier
@@ -25,7 +25,7 @@ import (
 // appends to a per-destination outbox, and the coordinator — which owns
 // every shard engine between windows (ownership passes over the command/
 // done channels, the machine-checked //hypatia:transfer discipline) —
-// routes them into the destination heaps before the next window. Handoff
+// routes them into the destination queues before the next window. Handoff
 // arrival times always land at or beyond the window boundary (asserted
 // under hypatia_checks), so no shard ever receives an event in its past.
 //
@@ -400,15 +400,13 @@ func (n *Network) RunSharded(until Time, shards int, installs []Time) int {
 	// forwarding state is engine-local, so each shard installs its own
 	// clone. Install events use their instant index as both key and seq so
 	// all engines agree on their order.
-	evs := root.events
-	root.events = nil
+	evs := root.events.drain(nil)
 	for i := range evs {
-		e := evs[i]
 		k := int32(0)
-		if e.owner >= 0 {
-			k = shardOf[e.owner]
+		if evs[i].owner >= 0 {
+			k = shardOf[evs[i].owner]
 		}
-		sims[k].events.push(e)
+		sims[k].events.push(evs[i])
 	}
 	for i, at := range installs {
 		for k := range sims {
@@ -439,10 +437,8 @@ func (n *Network) RunSharded(until Time, shards int, installs []Time) int {
 		// empty.
 		earliest := Time(-1)
 		for k := range sims {
-			if len(sims[k].events) > 0 {
-				if at := sims[k].events[0].at; earliest < 0 || at < earliest {
-					earliest = at
-				}
+			if at, ok := sims[k].events.peek(); ok && (earliest < 0 || at < earliest) {
+				earliest = at
 			}
 		}
 		if earliest < 0 || earliest > until {
@@ -479,7 +475,7 @@ func (n *Network) RunSharded(until Time, shards int, installs []Time) int {
 		for k := range done {
 			<-done[k]
 		}
-		// Route handoffs into destination heaps and recycle displaced
+		// Route handoffs into destination queues and recycle displaced
 		// table clones.
 		for k := range sims {
 			s := sims[k]
@@ -534,13 +530,12 @@ func (n *Network) RunSharded(until Time, shards int, installs []Time) int {
 	// Run continues from the latest installed state, not the pre-run one.
 	root.st.ft = sims[behind].st.ft
 	for k := range sims {
-		s := sims[k]
-		for i := range s.events {
-			if e := s.events[i]; e.kind != evInstall {
-				root.events.push(e)
+		evs = sims[k].events.drain(evs[:0])
+		for i := range evs {
+			if evs[i].kind != evInstall {
+				root.events.push(evs[i])
 			}
 		}
-		s.events = nil
 	}
 	if stopped {
 		root.stopped = true

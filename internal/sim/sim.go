@@ -93,7 +93,7 @@ const (
 	evReceive
 )
 
-// event is one scheduled occurrence. The comparator below orders events by
+// event is one scheduled occurrence. evLess (queue.go) orders events by
 // content, not by insertion: at, then owner (-1 for unowned/user events),
 // then kind, then the per-kind key, then seq. For any two events that can
 // ever tie through (at, owner, kind, key), both engines assign seq in the
@@ -108,73 +108,6 @@ type event struct {
 	kind  evKind
 	pkt   *Packet
 	fn    func()
-}
-
-// eventHeap is a manual binary min-heap of event records (container/heap
-// would box every push/pop through interface{}).
-//
-//hypatia:confined
-type eventHeap []event
-
-//hypatia:noalloc
-func (h eventHeap) less(i, j int) bool {
-	a, b := &h[i], &h[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.owner != b.owner {
-		return a.owner < b.owner
-	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.seq < b.seq
-}
-
-//hypatia:noalloc
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-}
-
-//hypatia:noalloc
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = event{} // clear pkt/fn references for the GC
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && q.less(r, l) {
-			m = r
-		}
-		if !q.less(m, i) {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
-	}
-	return top
 }
 
 // journalKey is the canonical identity of an event occurrence plus an
@@ -196,7 +129,7 @@ type journalKey struct {
 //hypatia:confined
 type Simulator struct {
 	now       Time
-	events    eventHeap
+	events    eventQueue
 	seq       uint64
 	processed uint64
 	stopped   bool
@@ -233,7 +166,7 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Pending returns the number of events currently queued.
-func (s *Simulator) Pending() int { return len(s.events) }
+func (s *Simulator) Pending() int { return s.events.Len() }
 
 // Schedule enqueues fn to run delay from now. Negative delays panic: they
 // indicate a logic bug that would violate causality.
@@ -303,14 +236,13 @@ func (s *Simulator) Run(until Time) {
 //
 //hypatia:noalloc
 func (s *Simulator) runWindow(end Time, inclusive bool) {
-	for len(s.events) > 0 && !s.stopped {
-		at := s.events[0].at
-		if at > end || (at == end && !inclusive) {
+	for !s.stopped {
+		e, ok := s.events.popUntil(end, inclusive)
+		if !ok {
 			break
 		}
-		e := s.events.pop()
 		if check.Enabled {
-			check.Assert(e.at >= s.now, "event heap popped %v after clock reached %v", e.at, s.now)
+			check.Assert(e.at >= s.now, "event queue popped %v after clock reached %v", e.at, s.now)
 		}
 		s.now = e.at
 		s.processed++
@@ -318,7 +250,7 @@ func (s *Simulator) runWindow(end Time, inclusive bool) {
 			s.cur = journalKey{at: e.at, owner: e.owner, kind: e.kind, key: e.key, seq: e.seq}
 			s.curSub = 0
 		}
-		s.dispatch(&e)
+		s.dispatch(e)
 	}
 	if inclusive && !s.stopped && s.now < end {
 		s.now = end
